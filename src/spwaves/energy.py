@@ -18,8 +18,8 @@ The full energy is scriptE = E + e^2 A0.
 
 from __future__ import annotations
 
-import json
 import warnings
+import weakref
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -31,16 +31,12 @@ from .grid import (
     RealField,
     SpectralWorkspace,
     coulomb_solve,
-    grad_norm_sq,
-    integrate,
-    laplacian,
 )
 from .profiles import (
     BallsProfile,
     DopingProfile,
     ZeroProfile,
     a3_boundary,
-    profile_label,
     sample_rho,
     sample_x_grad_rho,
 )
@@ -48,11 +44,13 @@ from .profiles import (
 __all__ = [
     "PhysParams",
     "RegimeWarning",
-    "SPFields",
+    "ProfileFields",
+    "Evaluation",
     "EnergyBreakdown",
     "Residual",
     "ScalingEntry",
     "ScalingReport",
+    "profile_fields",
     "solve_S1",
     "compute_S2",
     "energy_breakdown",
@@ -100,27 +98,34 @@ class PhysParams:
 
 
 @dataclass(frozen=True)
-class SPFields:
-    """The two Newtonian potentials and their sum for one state."""
+class ProfileFields:
+    """The state-independent fields of one profile on one grid: the rho
+    samples, S2 = (-Delta)^{-1}(-rho/2) and A0.  The arrays are read-only."""
 
-    s1: RealField
-    s2: RealField
-    s: RealField
+    rho: np.ndarray
+    s2: np.ndarray
+    a0: float
 
 
-def _profile_cache(profile: DopingProfile, ws: SpectralWorkspace) -> dict:
-    """Per-workspace cache of rho samples, S2, and A0 for one profile."""
-    entry = ws._s2_cache.get(profile)
-    if entry is None:
+# workspace -> {profile: ProfileFields}; entries go with their workspace
+_PROFILE_FIELDS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def profile_fields(profile: DopingProfile, ws: SpectralWorkspace) -> ProfileFields:
+    """The profile's fields on the workspace grid, computed once per
+    (profile, workspace)."""
+    per_ws = _PROFILE_FIELDS.setdefault(ws, {})
+    fields = per_ws.get(profile)
+    if fields is None:
         rho = sample_rho(profile, ws.grid).values
         if isinstance(profile, ZeroProfile):
             s2 = np.zeros_like(rho)
         else:
             s2 = ws.coulomb(-0.5 * rho)
+        rho.flags.writeable = s2.flags.writeable = False
         a0 = -0.25 * float(np.sum(s2 * rho)) * ws.grid.cell_volume
-        entry = {"rho": rho, "s2": s2, "a0": a0}
-        ws._s2_cache[profile] = entry
-    return entry
+        fields = per_ws[profile] = ProfileFields(rho, s2, a0)
+    return fields
 
 
 def solve_S1(u: ComplexField, ws: SpectralWorkspace) -> RealField:
@@ -131,13 +136,41 @@ def solve_S1(u: ComplexField, ws: SpectralWorkspace) -> RealField:
 
 def compute_S2(profile: DopingProfile, ws: SpectralWorkspace) -> RealField:
     """S2 = (-Delta)^{-1}(-rho/2), cached per (profile, workspace)."""
-    return RealField(ws.grid, _profile_cache(profile, ws)["s2"].copy())
+    return RealField(ws.grid, profile_fields(profile, ws).s2.copy())
 
 
-def assemble_sp_fields(u: ComplexField, profile: DopingProfile, ws: SpectralWorkspace) -> SPFields:
-    s1 = solve_S1(u, ws)
-    s2 = compute_S2(profile, ws)
-    return SPFields(s1, s2, RealField(ws.grid, s1.values + s2.values))
+def _abs_sq(values: np.ndarray) -> np.ndarray:
+    return values.real**2 + values.imag**2
+
+
+class Evaluation:
+    """One state's density, spectrum, |grad u|^2, S1 and A1, from one forward
+    FFT and one Coulomb solve.  Every energy, gradient and breakdown in the
+    package is derived from one of these."""
+
+    def __init__(self, vals: np.ndarray, ws: SpectralWorkspace):
+        self.vals = vals
+        self.ws = ws
+        self.dv = dv = ws.grid.cell_volume
+        self.dens = _abs_sq(vals)
+        self.mass = float(np.sum(self.dens)) * dv
+        self.uhat = ws.fft(vals)
+        self.grad_sq = float(np.sum(ws.k2 * _abs_sq(self.uhat))) * dv * (1.0 / ws.grid.n**3)
+        self.s1 = ws.coulomb(0.5 * self.dens)
+        self.a1 = 0.25 * float(np.sum(self.s1 * self.dens)) * dv
+
+    def energy_terms(self, fields: ProfileFields, params: PhysParams) -> tuple[float, float, float]:
+        """(E, 1/(p+1) |u|_{p+1}^{p+1}, A2 in its form 1/4 int S2 |u|^2)."""
+        p, e2 = params.p, params.e**2
+        a2 = 0.25 * float(np.sum(fields.s2 * self.dens)) * self.dv
+        power = float(np.sum(self.dens ** ((p + 1.0) / 2.0))) * self.dv / (p + 1.0)
+        return 0.5 * self.grad_sq - power + e2 * self.a1 + 2.0 * e2 * a2, power, a2
+
+    def gradient(self, fields: ProfileFields, params: PhysParams) -> np.ndarray:
+        """L^2 gradient of E: -Delta u - |u|^{p-1} u + e^2 (S1(u) + S2) u."""
+        p, e2 = params.p, params.e**2
+        lap = self.ws.ifft(-self.ws.k2 * self.uhat)
+        return -lap - self.dens ** ((p - 1.0) / 2.0) * self.vals + e2 * (self.s1 + fields.s2) * self.vals
 
 
 @dataclass(frozen=True)
@@ -158,51 +191,6 @@ class EnergyBreakdown:
     p: float
     e: float
 
-    def to_dict(self) -> dict:
-        d = {
-            "kinetic": self.kinetic,
-            "power": self.power,
-            "a0": self.a0,
-            "a1": self.a1,
-            "a2": self.a2,
-            "a2prime": self.a2prime,
-            "a3": self.a3,
-            "a3_form": self.a3_form,
-            "energy": self.energy,
-            "script_energy": self.script_energy,
-            "mass": self.mass,
-            "p": self.p,
-            "e": self.e,
-        }
-        return d
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
-
-    @staticmethod
-    def csv_header() -> str:
-        return "kinetic,power,a0,a1,a2,a2prime,a3,a3_form,energy,script_energy,mass,p,e"
-
-    def csv_row(self) -> str:
-        a3 = "" if self.a3 is None else repr(self.a3)
-        return ",".join(
-            [
-                repr(self.kinetic),
-                repr(self.power),
-                repr(self.a0),
-                repr(self.a1),
-                repr(self.a2),
-                repr(self.a2prime),
-                a3,
-                self.a3_form,
-                repr(self.energy),
-                repr(self.script_energy),
-                repr(self.mass),
-                repr(self.p),
-                repr(self.e),
-            ]
-        )
-
     @property
     def grad_l2_sq(self) -> float:
         return 2.0 * self.kinetic
@@ -212,55 +200,42 @@ class EnergyBreakdown:
         return (self.p + 1.0) * self.power
 
 
-def _abs_sq(values: np.ndarray) -> np.ndarray:
-    return values.real**2 + values.imag**2
-
-
 def energy_breakdown(
     u: ComplexField,
     profile: DopingProfile,
     params: PhysParams,
     ws: SpectralWorkspace,
 ) -> EnergyBreakdown:
+    """All energy components of u; E is the flow's objective, so it uses A2
+    in its S2 form (a2prime) and a2 = -1/4 int S1 rho is reported beside it."""
     grid = u.grid
-    dv = grid.cell_volume
-    cache = _profile_cache(profile, ws)
-    rho, s2, a0 = cache["rho"], cache["s2"], cache["a0"]
-
-    dens = _abs_sq(u.values)
-    mass = float(np.sum(dens)) * dv
-    kinetic = 0.5 * grad_norm_sq(u, ws)
-    power = float(np.sum(dens ** ((params.p + 1.0) / 2.0))) * dv / (params.p + 1.0)
-
-    s1 = ws.coulomb(0.5 * dens)
-    a1 = 0.25 * float(np.sum(s1 * dens)) * dv
-    a2 = -0.25 * float(np.sum(s1 * rho)) * dv
-    a2prime = 0.25 * float(np.sum(s2 * dens)) * dv
+    fields = profile_fields(profile, ws)
+    ev = Evaluation(u.values, ws)
+    energy, power, a2prime = ev.energy_terms(fields, params)
+    a2 = -0.25 * float(np.sum(ev.s1 * fields.rho)) * ev.dv
 
     if isinstance(profile, ZeroProfile):
         a3, a3_form = None, "none"
     elif isinstance(profile, BallsProfile):
-        a3 = a3_boundary(RealField(grid, s1), profile.balls)
+        a3 = a3_boundary(RealField(grid, ev.s1), profile.balls)
         a3_form = "boundary"
     else:
         xgr = sample_x_grad_rho(profile, grid).values
-        a3 = 0.5 * float(np.sum(s1 * xgr)) * dv
+        a3 = 0.5 * float(np.sum(ev.s1 * xgr)) * ev.dv
         a3_form = "smooth"
 
-    e2 = params.e**2
-    energy = kinetic - power + e2 * a1 + 2.0 * e2 * a2
     return EnergyBreakdown(
-        kinetic=kinetic,
+        kinetic=0.5 * ev.grad_sq,
         power=power,
-        a0=a0,
-        a1=a1,
+        a0=fields.a0,
+        a1=ev.a1,
         a2=a2,
         a2prime=a2prime,
         a3=a3,
         a3_form=a3_form,
         energy=energy,
-        script_energy=energy + e2 * a0,
-        mass=mass,
+        script_energy=energy + params.e**2 * fields.a0,
+        mass=ev.mass,
         p=params.p,
         e=params.e,
     )
@@ -273,13 +248,7 @@ def grad_E(
     ws: SpectralWorkspace,
 ) -> ComplexField:
     """L^2 gradient of E: -Delta u - |u|^{p-1} u + e^2 (S1(u) + S2) u."""
-    cache = _profile_cache(profile, ws)
-    dens = _abs_sq(u.values)
-    s = ws.coulomb(0.5 * dens) + cache["s2"]
-    lap = laplacian(u, ws)
-    nl = dens ** ((params.p - 1.0) / 2.0)
-    vals = -lap.values - nl * u.values + params.e**2 * s * u.values
-    return ComplexField(u.grid, vals)
+    return ComplexField(u.grid, Evaluation(u.values, ws).gradient(profile_fields(profile, ws), params))
 
 
 def lagrange_multiplier(breakdown: EnergyBreakdown) -> float:
@@ -418,7 +387,6 @@ def scaling_check(
     if width <= 0.0 or lam <= 0.0:
         raise ValueError("width and lam must be positive")
     grid = ws.grid
-    dv = grid.cell_volume
 
     base = _gaussian_state(grid, amplitude, width)
     scaled = _gaussian_state(grid, amplitude * lam**a, width / lam**b)
@@ -426,14 +394,8 @@ def scaling_check(
     origin = tuple(np.argmin(np.abs(grid.axis_coords())) for _ in range(3))
 
     def measures(u: ComplexField) -> dict[str, float]:
-        dens = _abs_sq(u.values)
-        s1 = ws.coulomb(0.5 * dens)
-        return {
-            "mass": float(np.sum(dens)) * dv,
-            "kinetic": grad_norm_sq(u, ws),
-            "a1": 0.25 * float(np.sum(s1 * dens)) * dv,
-            "s1_origin": float(s1[origin]),
-        }
+        ev = Evaluation(u.values, ws)
+        return {"mass": ev.mass, "kinetic": ev.grad_sq, "a1": ev.a1, "s1_origin": float(ev.s1[origin])}
 
     m0 = measures(base)
     m1 = measures(scaled)

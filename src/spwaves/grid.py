@@ -153,7 +153,6 @@ def coulomb_kernel_spectrum(kmag: np.ndarray, radius: float) -> np.ndarray:
     spectrum is nonnegative for every k.
     """
     kmag = np.asarray(kmag, dtype=np.float64)
-    out = np.empty_like(kmag)
     small = kmag < 1e-12
     safe = np.where(small, 1.0, kmag)
     out = (1.0 - np.cos(radius * safe)) / safe**2
@@ -211,7 +210,6 @@ class SpectralWorkspace:
         self.k2 = grid.wavenumber_sq()
         self._kernel_hat: np.ndarray | None = None
         self._pad: np.ndarray | None = None
-        self._s2_cache: dict = {}
 
     @property
     def kernel_hat(self) -> np.ndarray:

@@ -15,21 +15,20 @@ operator -Delta + 2 e^2 S2.
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.fft as sfft
 
 from .energy import (
     EnergyBreakdown,
+    Evaluation,
     PhysParams,
     energy_breakdown,
     lagrange_multiplier,
     lemma23_residual,
     nehari_residual,
     pohozaev_residual,
-    _profile_cache,
+    profile_fields,
 )
 from .grid import ComplexField, Grid3, SpectralWorkspace
 from .profiles import DopingProfile, ZeroProfile
@@ -52,9 +51,6 @@ __all__ = [
     "lower_bound_estimate",
 ]
 
-_FFT_WORKERS = -1
-
-
 class NumericalAbort(RuntimeError):
     """NaN or overflow encountered inside an iteration."""
 
@@ -71,11 +67,8 @@ class MinimizeConfig:
     max_iters: int = 4000
     grad_tol: float = 1e-7  # on |grad E + omega u|_2 / |u|_{H^1}
     energy_tol: float = 1e-9  # stall detection scale; eps_neg = 10x this
-    step_control: str = "bb"  # "bb" or "backtracking"
-    initializer: str = "gaussian"  # "gaussian", "previous", or "file"
     init_width: float | None = None
-    init_field: ComplexField | None = None
-    init_path: str | None = None
+    init_field: ComplexField | None = None  # warm start: one flow from this state
     seed: int = 0
     n_restarts: int = 3
     tau_min: float = 1e-7
@@ -88,10 +81,6 @@ class MinimizeConfig:
             raise ValueError("initial step must be positive")
         if self.grad_tol <= 0.0 or self.energy_tol <= 0.0:
             raise ValueError("tolerances must be positive")
-        if self.step_control not in ("bb", "backtracking"):
-            raise ValueError(f"unknown step control {self.step_control!r}")
-        if self.initializer not in ("gaussian", "previous", "file"):
-            raise ValueError(f"unknown initializer {self.initializer!r}")
 
     @property
     def eps_neg(self) -> float:
@@ -112,42 +101,28 @@ class MinimizerResult:
 
 
 class _Objective:
-    """Energy/gradient evaluations sharing one Coulomb solve per point."""
+    """The flow's energy E and its gradient, from one Evaluation per point."""
 
     def __init__(self, profile: DopingProfile, params: PhysParams, ws: SpectralWorkspace):
-        cache = _profile_cache(profile, ws)
-        self.s2 = cache["s2"]
+        self.fields = profile_fields(profile, ws)
         self.params = params
         self.ws = ws
         self.dv = ws.grid.cell_volume
-        self.inv_n3 = 1.0 / ws.grid.n**3
 
     def __call__(self, vals: np.ndarray, need_grad: bool):
-        p, e2 = self.params.p, self.params.e**2
-        ws = self.ws
-        dens = vals.real**2 + vals.imag**2
-        mass = float(np.sum(dens)) * self.dv
-        uhat = sfft.fftn(vals, workers=_FFT_WORKERS)
-        ksq = float(np.sum(ws.k2 * (uhat.real**2 + uhat.imag**2))) * self.dv * self.inv_n3
-        s1 = ws.coulomb(0.5 * dens)
-        a1 = 0.25 * float(np.sum(s1 * dens)) * self.dv
-        a2 = 0.25 * float(np.sum(self.s2 * dens)) * self.dv
-        power = float(np.sum(dens ** ((p + 1.0) / 2.0))) * self.dv / (p + 1.0)
-        energy = 0.5 * ksq - power + e2 * a1 + 2.0 * e2 * a2
+        ev = Evaluation(vals, self.ws)
+        energy = ev.energy_terms(self.fields, self.params)[0]
         if not np.isfinite(energy):
             raise NumericalAbort("energy became non-finite")
-        grad = None
-        if need_grad:
-            lap = sfft.ifftn(-ws.k2 * uhat, workers=_FFT_WORKERS)
-            grad = -lap - dens ** ((p - 1.0) / 2.0) * vals + e2 * (s1 + self.s2) * vals
-        return energy, grad, ksq, mass
+        grad = ev.gradient(self.fields, self.params) if need_grad else None
+        return energy, grad, ev.grad_sq, ev.mass
 
 
 class _RayleighObjective:
     """Quadratic form int(|grad u|^2 + 2 e^2 S2 |u|^2) for the spectral floor."""
 
     def __init__(self, profile: DopingProfile, e: float, ws: SpectralWorkspace):
-        self.s2 = _profile_cache(profile, ws)["s2"]
+        self.s2 = profile_fields(profile, ws).s2
         self.coef = 2.0 * e**2
         self.ws = ws
         self.dv = ws.grid.cell_volume
@@ -157,7 +132,7 @@ class _RayleighObjective:
         ws = self.ws
         dens = vals.real**2 + vals.imag**2
         mass = float(np.sum(dens)) * self.dv
-        uhat = sfft.fftn(vals, workers=_FFT_WORKERS)
+        uhat = ws.fft(vals)
         ksq = float(np.sum(ws.k2 * (uhat.real**2 + uhat.imag**2))) * self.dv * self.inv_n3
         pot = self.coef * float(np.sum(self.s2 * dens)) * self.dv
         energy = ksq + pot
@@ -165,7 +140,7 @@ class _RayleighObjective:
             raise NumericalAbort("Rayleigh quotient became non-finite")
         grad = None
         if need_grad:
-            lap = sfft.ifftn(-ws.k2 * uhat, workers=_FFT_WORKERS)
+            lap = ws.ifft(-ws.k2 * uhat)
             grad = 2.0 * (-lap + self.coef * self.s2 * vals)
         return energy, grad, ksq, mass
 
@@ -174,8 +149,6 @@ class _RayleighObjective:
 class _FlowState:
     vals: np.ndarray
     energy: float
-    grad: np.ndarray
-    ksq: float
     iterations: int
     converged: bool
     grad_res: float
@@ -192,33 +165,33 @@ def _real_inner(a: np.ndarray, b: np.ndarray, dv: float) -> float:
     return float(np.sum(a.real * b.real + a.imag * b.imag)) * dv
 
 
+def _grad_residual(vals: np.ndarray, grad: np.ndarray, ksq: float, mu: float, dv: float) -> float:
+    """|grad E + omega u|_2 / |u|_{H^1}, with omega = -Re<grad E, u> / mu."""
+    omega = -_real_inner(grad, vals, dv) / mu
+    resid = grad + omega * vals
+    return float(np.sqrt(_real_inner(resid, resid, dv))) / np.sqrt(mu + ksq)
+
+
 def _normalized_flow(mu: float, objective, u0: np.ndarray, config: MinimizeConfig) -> _FlowState:
-    """Monotone normalized gradient flow from u0; returns the best iterate."""
+    """Monotone normalized gradient flow from u0; returns the last iterate,
+    which has the lowest energy."""
     dv = objective.dv
     vals = _rescale_mass(u0.astype(np.complex128), mu, dv)
     energy, grad, ksq, _ = objective(vals, need_grad=True)
 
     tau = config.tau0
     prev_vals = prev_grad = None
-    best = dict(vals=vals, energy=energy, grad=grad, ksq=ksq, res=np.inf)
     stall_anchor = energy
     stall_count = 0
     converged = False
-    grad_res = np.inf
     it = 0
 
     for it in range(1, config.max_iters + 1):
-        omega = -_real_inner(grad, vals, dv) / mu
-        resid = grad + omega * vals
-        h1 = np.sqrt(mu + ksq)
-        grad_res = float(np.sqrt(_real_inner(resid, resid, dv))) / h1
-        if grad_res < best["res"]:
-            best = dict(vals=vals, energy=energy, grad=grad, ksq=ksq, res=grad_res)
-        if grad_res < config.grad_tol:
+        if _grad_residual(vals, grad, ksq, mu, dv) < config.grad_tol:
             converged = True
             break
 
-        if config.step_control == "bb" and prev_vals is not None:
+        if prev_vals is not None:
             s = vals - prev_vals
             y = grad - prev_grad
             sy = _real_inner(s, y, dv)
@@ -252,12 +225,7 @@ def _normalized_flow(mu: float, objective, u0: np.ndarray, config: MinimizeConfi
             stall_anchor = energy
             stall_count = 0
 
-    # prefer the last iterate (lowest energy); best["res"] tracks the
-    # smallest residual seen in case the loop exited on a stall
-    omega = -_real_inner(grad, vals, dv) / mu
-    resid = grad + omega * vals
-    grad_res = float(np.sqrt(_real_inner(resid, resid, dv))) / np.sqrt(mu + ksq)
-    return _FlowState(vals, energy, grad, ksq, it, converged, grad_res)
+    return _FlowState(vals, energy, it, converged, _grad_residual(vals, grad, ksq, mu, dv))
 
 
 def _gaussian_trial(grid: Grid3, width: float, mu: float) -> np.ndarray:
@@ -266,20 +234,13 @@ def _gaussian_trial(grid: Grid3, width: float, mu: float) -> np.ndarray:
     return vals * np.sqrt(mu / mass)
 
 
-def _initial_states(mu: float, objective, config: MinimizeConfig, grid: Grid3) -> list[np.ndarray]:
-    if config.initializer == "previous":
-        if config.init_field is None:
-            raise ValueError("initializer 'previous' requires init_field")
+def _initial_states(mu: float, objective: _Objective, config: MinimizeConfig) -> list[np.ndarray]:
+    ws = objective.ws
+    grid = ws.grid
+    if config.init_field is not None:
+        if config.init_field.grid != grid:
+            raise ValueError("init_field lives on a different grid")
         return [config.init_field.values.copy()]
-    if config.initializer == "file":
-        from .fieldio import read_field
-
-        if config.init_path is None:
-            raise ValueError("initializer 'file' requires init_path")
-        fld = read_field(config.init_path, kind="complex")
-        if fld.grid != grid:
-            raise ValueError("initializer field lives on a different grid")
-        return [fld.values.copy()]
 
     # gaussian: scan widths for the lowest trial energy, then fan out
     if config.init_width is not None:
@@ -300,7 +261,7 @@ def _initial_states(mu: float, objective, config: MinimizeConfig, grid: Grid3) -
         vals = _gaussian_trial(grid, w, mu)
         if k > 0:
             noise = rng.standard_normal(vals.shape) + 1j * rng.standard_normal(vals.shape)
-            noise = sfft.ifftn(sfft.fftn(noise) * np.exp(-grid.wavenumber_sq()))
+            noise = ws.ifft(ws.fft(noise) * np.exp(-ws.k2))
             vals = vals + 0.02 * np.max(np.abs(vals)) * noise
         states.append(vals)
     return states
@@ -328,7 +289,7 @@ def minimize_at_mass(
     if mu <= 0.0:
         raise ValueError("mass must be positive")
     objective = _Objective(profile, params, ws)
-    states = _initial_states(mu, objective, config, ws.grid)
+    states = _initial_states(mu, objective, config)
 
     best: _FlowState | None = None
     for u0 in states:
@@ -376,26 +337,6 @@ class CurveTable:
     points: tuple[CurvePoint, ...]
     nonincreasing: bool  # within 2x energy tolerance
 
-    CSV_HEADER = "mu,c,omega,nehari,pohozaev,lemma23,grad_res,iters,converged"
-
-    def csv_rows(self) -> list[str]:
-        return [
-            ",".join(
-                [
-                    repr(p.mu),
-                    repr(p.c),
-                    repr(p.omega),
-                    repr(p.nehari),
-                    repr(p.pohozaev),
-                    repr(p.lemma23),
-                    repr(p.grad_res),
-                    str(p.iterations),
-                    str(p.converged).lower(),
-                ]
-            )
-            for p in self.points
-        ]
-
 
 def c_curve(
     mu_list,
@@ -417,7 +358,7 @@ def c_curve(
     cfg = config
     for m in mus:
         if prev_field is not None:
-            cfg = replace(config, initializer="previous", init_field=prev_field, n_restarts=1)
+            cfg = replace(config, init_field=prev_field, n_restarts=1)
         try:
             res = minimize_at_mass(m, profile, params, cfg, ws)
         except NumericalAbort:
@@ -523,23 +464,6 @@ class SubadditivityReport:
         "all c values are upper bounds from a heuristic flow; margins are "
         "consistent-with checks, not proofs"
     )
-
-    SPLIT_CSV_HEADER = "fraction,mu_part,c_part,c_inf_rest,margin,converged"
-
-    def split_csv_rows(self) -> list[str]:
-        return [
-            ",".join(
-                [
-                    repr(s.fraction),
-                    repr(s.mu_part),
-                    repr(s.c_part),
-                    repr(s.c_inf_rest),
-                    repr(s.margin),
-                    str(s.converged).lower(),
-                ]
-            )
-            for s in self.splits
-        ]
 
 
 def subadditivity_scan(

@@ -31,7 +31,6 @@ __all__ = [
     "powerlaw_tail_bound",
     "ball_geometry",
     "a3_boundary",
-    "profile_label",
 ]
 
 
@@ -112,10 +111,6 @@ class BallsProfile:
 
 
 DopingProfile = Union[ZeroProfile, GaussianProfile, PowerLawProfile, BallsProfile]
-
-
-def profile_label(profile: DopingProfile) -> str:
-    return type(profile).__name__.removesuffix("Profile").lower()
 
 
 def _check_ball_in_box(ball: BallSpec, grid: Grid3):

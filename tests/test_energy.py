@@ -14,7 +14,6 @@ from scipy.special import erf
 from spwaves.energy import (
     PhysParams,
     RegimeWarning,
-    assemble_sp_fields,
     compute_S2,
     energy_breakdown,
     grad_E,
@@ -22,11 +21,12 @@ from spwaves.energy import (
     lemma23_residual,
     nehari_residual,
     pohozaev_residual,
+    profile_fields,
     scaling_check,
     solve_S1,
 )
 from spwaves.grid import ComplexField, Grid3, RealField, SpectralWorkspace, inner, integrate
-from spwaves.profiles import BallSpec, BallsProfile, GaussianProfile, ZeroProfile
+from spwaves.profiles import BallSpec, BallsProfile, GaussianProfile, ZeroProfile, sample_rho
 
 from conftest import smooth_random_complex
 
@@ -128,7 +128,9 @@ class TestS2:
         a = compute_S2(prof, ws32)
         b = compute_S2(prof, ws32)
         assert np.array_equal(a.values, b.values)
-        assert prof in ws32._s2_cache
+        fields = profile_fields(prof, ws32)
+        assert profile_fields(prof, ws32) is fields
+        assert np.array_equal(fields.s2, a.values)
 
 
 class TestEnergyBreakdown:
@@ -234,10 +236,14 @@ class TestSignStructure:
 
     def test_sp_fields_signs(self, grid32, ws32, rng):
         u = ComplexField(grid32, smooth_random_complex(grid32, rng))
-        sp = assemble_sp_fields(u, GaussianProfile(0.5, 1.0), ws32)
-        assert sp.s1.values.min() > -1e-12
-        assert sp.s2.values.max() <= 1e-14
-        assert np.allclose(sp.s.values, sp.s1.values + sp.s2.values)
+        prof = GaussianProfile(0.5, 1.0)
+        s1 = solve_S1(u, ws32)
+        s2 = compute_S2(prof, ws32)
+        assert s1.values.min() > -1e-12
+        assert s2.values.max() <= 1e-14
+        # by linearity S1 + S2 is the potential of (|u|^2 - rho) / 2
+        src = 0.5 * (u.abs_sq().values - sample_rho(prof, grid32).values)
+        assert np.allclose(ws32.coulomb(src), s1.values + s2.values)
 
 
 class TestGradE:
