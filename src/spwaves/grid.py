@@ -195,9 +195,10 @@ def _build_kernel_hat(grid: Grid3, radius: float) -> np.ndarray:
 class SpectralWorkspace:
     """Transform tables and the precomputed Coulomb kernel for one grid.
 
-    Not shareable between concurrent workers: the padded scratch buffer is
-    reused across solves.  Fields themselves are immutable and may move
-    between threads freely.
+    Solves keep no scratch state, but the kernel is built unguarded on first
+    use, so concurrent workers that reach an unbuilt kernel each build it:
+    touch ``kernel_hat`` before sharing a workspace between workers.  Fields
+    are immutable and may move between threads freely.
     """
 
     def __init__(self, grid: Grid3, truncation_radius: float | None = None):
@@ -209,15 +210,12 @@ class SpectralWorkspace:
         self.truncation_radius = float(truncation_radius)
         self.k2 = grid.wavenumber_sq()
         self._kernel_hat: np.ndarray | None = None
-        self._pad: np.ndarray | None = None
 
     @property
     def kernel_hat(self) -> np.ndarray:
         """Coulomb kernel spectrum on the padded grid, built on first use."""
         if self._kernel_hat is None:
             self._kernel_hat = _build_kernel_hat(self.grid, self.truncation_radius)
-            n2 = 2 * self.grid.n
-            self._pad = np.zeros((n2, n2, n2))
         return self._kernel_hat
 
     def fft(self, values: np.ndarray) -> np.ndarray:
@@ -226,20 +224,33 @@ class SpectralWorkspace:
     def ifft(self, values: np.ndarray) -> np.ndarray:
         return sfft.ifftn(values, workers=_FFT_WORKERS)
 
+    def _potential_hat(self, values: np.ndarray) -> np.ndarray:
+        """Kernel times the spectrum of the zero-padded data, one axis at a
+        time in rfftn's order (bit for bit rfftn's result), so no transform
+        runs over the all-zero rows of the padded input."""
+        n2 = 2 * self.grid.n
+        vhat = sfft.rfft(values, n=n2, axis=2, workers=_FFT_WORKERS)
+        vhat = sfft.fft(vhat, n=n2, axis=0, workers=_FFT_WORKERS)
+        vhat = sfft.fft(vhat, n=n2, axis=1, workers=_FFT_WORKERS)
+        vhat *= self.kernel_hat
+        return vhat
+
     def coulomb_padded(self, values: np.ndarray) -> np.ndarray:
         """The potential on the full zero-padded (2N)^3 grid."""
-        kernel = self.kernel_hat
-        n = self.grid.n
-        n2 = 2 * n
-        self._pad[:n, :n, :n] = values
-        vhat = sfft.rfftn(self._pad, workers=_FFT_WORKERS)
-        vhat *= kernel
-        return sfft.irfftn(vhat, s=(n2, n2, n2), workers=_FFT_WORKERS)
+        return sfft.irfftn(self._potential_hat(values), s=(2 * self.grid.n,) * 3, workers=_FFT_WORKERS)
 
     def coulomb(self, values: np.ndarray) -> np.ndarray:
-        """(-Delta)^{-1} applied to real data: the free-space potential."""
+        """(-Delta)^{-1} applied to real data: the free-space potential.
+
+        Each inverse axis is cut to its N kept outputs before the next one
+        runs; the 1/(2N)^3 comes last, where irfftn applies it."""
         n = self.grid.n
-        return self.coulomb_padded(values)[:n, :n, :n].copy()
+        n2 = 2 * n
+        vhat = self._potential_hat(values)
+        v = sfft.ifft(vhat, axis=0, norm="forward", overwrite_x=True, workers=_FFT_WORKERS)
+        v = sfft.ifft(v[:n], axis=1, norm="forward", workers=_FFT_WORKERS)
+        v = sfft.irfft(v[:, :n], n=n2, axis=2, norm="forward", workers=_FFT_WORKERS)
+        return v[..., :n] * (1.0 / n2**3)
 
 
 def _require_same_grid(a: Field, b: Grid3 | Field):

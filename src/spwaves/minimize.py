@@ -101,16 +101,23 @@ class MinimizerResult:
 
 
 class _Objective:
-    """The flow's energy E and its gradient, from one Evaluation per point."""
+    """The flow's energy E and its gradient, from one Evaluation per point.
+
+    The flow asks for the gradient at the very array it just accepted and
+    never changes an array in place, so the last Evaluation is reused when
+    the array is the same object."""
 
     def __init__(self, profile: DopingProfile, params: PhysParams, ws: SpectralWorkspace):
         self.fields = profile_fields(profile, ws)
         self.params = params
         self.ws = ws
         self.dv = ws.grid.cell_volume
+        self._last: Evaluation | None = None
 
     def __call__(self, vals: np.ndarray, need_grad: bool):
-        ev = Evaluation(vals, self.ws)
+        ev = self._last
+        if ev is None or ev.vals is not vals:
+            ev = self._last = Evaluation(vals, self.ws)
         energy = ev.energy_terms(self.fields, self.params)[0]
         if not np.isfinite(energy):
             raise NumericalAbort("energy became non-finite")
@@ -119,7 +126,8 @@ class _Objective:
 
 
 class _RayleighObjective:
-    """Quadratic form int(|grad u|^2 + 2 e^2 S2 |u|^2) for the spectral floor."""
+    """Quadratic form int(|grad u|^2 + 2 e^2 S2 |u|^2) for the spectral floor.
+    Reuses the last array's spectrum as _Objective reuses its Evaluation."""
 
     def __init__(self, profile: DopingProfile, e: float, ws: SpectralWorkspace):
         self.s2 = profile_fields(profile, ws).s2
@@ -127,12 +135,15 @@ class _RayleighObjective:
         self.ws = ws
         self.dv = ws.grid.cell_volume
         self.inv_n3 = 1.0 / ws.grid.n**3
+        self._last: tuple[np.ndarray, np.ndarray] | None = None
 
     def __call__(self, vals: np.ndarray, need_grad: bool):
         ws = self.ws
         dens = vals.real**2 + vals.imag**2
         mass = float(np.sum(dens)) * self.dv
-        uhat = ws.fft(vals)
+        if self._last is None or self._last[0] is not vals:
+            self._last = (vals, ws.fft(vals))
+        uhat = self._last[1]
         ksq = float(np.sum(ws.k2 * (uhat.real**2 + uhat.imag**2))) * self.dv * self.inv_n3
         pot = self.coef * float(np.sum(self.s2 * dens)) * self.dv
         energy = ksq + pot
@@ -355,10 +366,8 @@ def c_curve(
 
     points = []
     prev_field: ComplexField | None = None
-    cfg = config
     for m in mus:
-        if prev_field is not None:
-            cfg = replace(config, init_field=prev_field, n_restarts=1)
+        cfg = config if prev_field is None else replace(config, init_field=prev_field, n_restarts=1)
         try:
             res = minimize_at_mass(m, profile, params, cfg, ws)
         except NumericalAbort:
@@ -475,7 +484,10 @@ def subadditivity_scan(
     ws: SpectralWorkspace,
 ) -> SubadditivityReport:
     """Strict sub-additivity margins c(mu') + c_inf(mu - mu') - c(mu) and the
-    homogeneity diagnostic c(lam s) - lam c(s) at s = mu / 2."""
+    homogeneity diagnostic c(lam s) - lam c(s) at s = mu / 2.
+
+    Each (mass, profile) is minimized once per scan (c(2 s) is c(mu)); none
+    warm-starts from another, so a reused value equals a recomputed one."""
     params.warn_outside_regime("subadditivity_scan")
     if mu <= 0.0:
         raise ValueError("mass must be positive")
@@ -483,22 +495,28 @@ def subadditivity_scan(
     if any(not (0.0 < f < 1.0) for f in fractions):
         raise ValueError("split fractions must lie in (0, 1)")
     zero = ZeroProfile()
+    results: dict[tuple[float, DopingProfile], MinimizerResult] = {}
 
-    total = minimize_at_mass(mu, profile, params, config, ws)
+    def minimize_once(m: float, prof: DopingProfile) -> MinimizerResult:
+        if (m, prof) not in results:
+            results[m, prof] = minimize_at_mass(m, prof, params, config, ws)
+        return results[m, prof]
+
+    total = minimize_once(mu, profile)
     splits = []
     for f in fractions:
-        part = minimize_at_mass(f * mu, profile, params, config, ws)
-        rest = minimize_at_mass((1.0 - f) * mu, zero, params, config, ws)
+        part = minimize_once(f * mu, profile)
+        rest = minimize_once((1.0 - f) * mu, zero)
         margin = part.c_value + rest.c_value - total.c_value
         splits.append(
             SplitPoint(f, f * mu, part.c_value, rest.c_value, margin, part.converged and rest.converged)
         )
 
     s = 0.5 * mu
-    base = minimize_at_mass(s, profile, params, config, ws)
+    base = minimize_once(s, profile)
     homogeneity = []
     for lam in (1.25, 1.5, 2.0):
-        scaled = minimize_at_mass(lam * s, profile, params, config, ws)
+        scaled = minimize_once(lam * s, profile)
         homogeneity.append(
             HomogeneityPoint(lam, s, scaled.c_value - lam * base.c_value, scaled.converged and base.converged)
         )

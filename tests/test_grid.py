@@ -8,6 +8,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.fft as sfft
 from scipy.special import erf
 
 from spwaves.grid import (
@@ -226,6 +227,20 @@ class TestCoulombSolve:
             f = RealField(grid24, rng.standard_normal((24,) * 3))
             v = coulomb_solve(f, ws24)
             assert inner(v, f).real >= -1e-12
+
+    @pytest.mark.parametrize("ws_name", ["ws24", "ws32"])
+    def test_pruned_transforms_equal_dense_padded_solve(self, ws_name, request, rng):
+        # The axis-wise transforms skip the zero half of the padded input and
+        # the discarded outputs, and must still give the dense result bit for
+        # bit.  N=24 pads to 48, which is not a power of two.
+        ws = request.getfixturevalue(ws_name)
+        n = ws.grid.n
+        f = rng.standard_normal((n,) * 3)
+        pad = np.zeros((2 * n,) * 3)
+        pad[:n, :n, :n] = f
+        dense = sfft.irfftn(sfft.rfftn(pad) * ws.kernel_hat, s=pad.shape)
+        assert np.array_equal(ws.coulomb(f), dense[:n, :n, :n])
+        assert np.array_equal(ws.coulomb_padded(f), dense)
 
     def test_laplacian_residual_interior(self, grid64, ws64):
         # Checked on the padded representation: there the kernel's image

@@ -1,11 +1,27 @@
-"""Minimize module: the flow objective and the warm start."""
+"""Minimize module: the flow objective, the warm start, evaluation reuse in
+the flow, and the sweeps' bookkeeping around minimize_at_mass."""
+
+from types import SimpleNamespace
 
 import numpy as np
 
+from spwaves import minimize
 from spwaves.energy import PhysParams, energy_breakdown, grad_E
-from spwaves.grid import ComplexField
-from spwaves.minimize import MinimizeConfig, _Objective, minimize_at_mass
-from spwaves.profiles import GaussianProfile
+from spwaves.grid import ComplexField, SpectralWorkspace
+from spwaves.minimize import (
+    HomogeneityPoint,
+    MinimizeConfig,
+    NumericalAbort,
+    SplitPoint,
+    SubadditivityReport,
+    _gaussian_trial,
+    _normalized_flow,
+    _Objective,
+    c_curve,
+    minimize_at_mass,
+    subadditivity_scan,
+)
+from spwaves.profiles import GaussianProfile, ZeroProfile
 
 from conftest import smooth_random_complex
 
@@ -34,3 +50,92 @@ def test_init_field_is_the_start_of_a_zero_iteration_flow(grid32, ws32, rng):
     # u_min = c f for one complex c: f up to its phase and mass
     c = np.vdot(f.values, res.u_min.values) / np.vdot(f.values, f.values)
     assert np.allclose(res.u_min.values, c * f.values, rtol=0.0, atol=1e-12 * np.max(np.abs(res.u_min.values)))
+
+
+class _Calls:
+    """Counts the flow's trial evaluations (need_grad=False); with copy=True it
+    hands the objective a copy of every state, so nothing can be reused."""
+
+    def __init__(self, objective, copy):
+        self.objective, self.copy = objective, copy
+        self.dv = objective.dv
+        self.trials = 0
+
+    def __call__(self, vals, need_grad):
+        self.trials += not need_grad
+        return self.objective(vals.copy() if self.copy else vals, need_grad)
+
+
+def _count_solves(ws):
+    count = [0]
+    solve = ws.coulomb
+
+    def counting(values):
+        count[0] += 1
+        return solve(values)
+
+    ws.coulomb = counting
+    return count
+
+
+def test_flow_reuses_the_accepted_trial(grid24):
+    # A workspace of its own, so the counting wrapper touches no fixture.
+    ws = SpectralWorkspace(grid24)
+    prof, params, mu = GaussianProfile(1.0, 1.0), PhysParams(2.1, 0.3), 100.0
+    config = MinimizeConfig(max_iters=40)
+    u0 = _gaussian_trial(grid24, 1.5, mu)
+    copied_obj, reused_obj = (_Calls(_Objective(prof, params, ws), copy) for copy in (True, False))
+    solves = _count_solves(ws)
+    copied = _normalized_flow(mu, copied_obj, u0, config)
+    copied_solves, solves[0] = solves[0], 0
+    reused = _normalized_flow(mu, reused_obj, u0, config)
+    assert np.array_equal(reused.vals, copied.vals)
+    assert reused.energy == copied.energy
+    assert reused.iterations == copied.iterations == config.max_iters
+    # one solve per trial plus the start; the copies also pay one per accepted step
+    assert reused_obj.trials == copied_obj.trials
+    assert solves[0] == 1 + reused_obj.trials
+    assert copied_solves == 1 + copied_obj.trials + copied.iterations
+
+
+def test_c_curve_restarts_cold_after_an_abort(grid24, monkeypatch):
+    first = ComplexField(grid24, np.ones((24,) * 3, dtype=complex))
+    configs = []
+
+    def fake_minimize(mu, profile, params, cfg, ws):
+        configs.append(cfg)
+        if len(configs) == 2:
+            raise NumericalAbort("injected")
+        residuals = dict(nehari=0.0, pohozaev=0.0, lemma23=0.0, gradient=0.0)
+        return SimpleNamespace(u_min=first, c_value=-mu, omega=1.0, residuals=residuals, iterations=1, converged=True)
+
+    monkeypatch.setattr(minimize, "minimize_at_mass", fake_minimize)
+    config = MinimizeConfig()
+    table = c_curve([1.0, 2.0, 3.0], ZeroProfile(), PhysParams(2.1, 0.3), config, SpectralWorkspace(grid24))
+    assert configs[0] is config
+    assert configs[1].init_field is first and configs[1].n_restarts == 1
+    assert configs[2] is config
+    assert [p.c for p in table.points][::2] == [-1.0, -3.0] and np.isnan(table.points[1].c)
+
+
+def test_subadditivity_scan_minimizes_each_mass_once(grid24, monkeypatch):
+    def c_of(mu, profile):
+        return -(mu**1.5) - (0.0 if isinstance(profile, ZeroProfile) else 0.1 * mu)
+
+    calls = []
+
+    def fake_minimize(mu, profile, params, cfg, ws):
+        calls.append((mu, profile))
+        return SimpleNamespace(c_value=c_of(mu, profile), converged=True)
+
+    monkeypatch.setattr(minimize, "minimize_at_mass", fake_minimize)
+    prof, mu = GaussianProfile(1.0, 1.0), 10.0
+    report = subadditivity_scan(mu, (0.5,), prof, PhysParams(2.1, 0.3), MinimizeConfig(), SpectralWorkspace(grid24))
+    # 7 minimizations unmemoized: total, part, rest, base and three scaled
+    assert len(calls) == len(set(calls)) == 5
+    s, zero = 0.5 * mu, ZeroProfile()
+    split = SplitPoint(0.5, s, c_of(s, prof), c_of(s, zero), c_of(s, prof) + c_of(s, zero) - c_of(mu, prof), True)
+    homogeneity = tuple(
+        HomogeneityPoint(lam, s, c_of(lam * s, prof) - lam * c_of(s, prof), True) for lam in (1.25, 1.5, 2.0)
+    )
+    assert report == SubadditivityReport(mu, c_of(mu, prof), (split,), homogeneity)
