@@ -121,9 +121,6 @@ class RealField:
     def __post_init__(self):
         object.__setattr__(self, "values", _validate_values(self.grid, self.values, np.float64))
 
-    def copy(self) -> "RealField":
-        return RealField(self.grid, self.values.copy())
-
 
 @dataclass(frozen=True)
 class ComplexField:
@@ -134,9 +131,6 @@ class ComplexField:
 
     def __post_init__(self):
         object.__setattr__(self, "values", _validate_values(self.grid, self.values, np.complex128))
-
-    def copy(self) -> "ComplexField":
-        return ComplexField(self.grid, self.values.copy())
 
     def abs_sq(self) -> RealField:
         v = self.values
@@ -201,13 +195,11 @@ class SpectralWorkspace:
     are immutable and may move between threads freely.
     """
 
-    def __init__(self, grid: Grid3, truncation_radius: float | None = None):
-        if truncation_radius is None:
-            truncation_radius = np.sqrt(3.0) * grid.length
-        if truncation_radius <= 0.0:
-            raise ValueError("truncation radius must be positive")
+    def __init__(self, grid: Grid3):
         self.grid = grid
-        self.truncation_radius = float(truncation_radius)
+        # T = sqrt(3) L spans the box diagonal; _build_kernel_hat is
+        # alias-free only for T < (4 - sqrt(3)) L.
+        self.truncation_radius = np.sqrt(3.0) * grid.length
         self.k2 = grid.wavenumber_sq()
         self._kernel_hat: np.ndarray | None = None
 
@@ -224,29 +216,20 @@ class SpectralWorkspace:
     def ifft(self, values: np.ndarray) -> np.ndarray:
         return sfft.ifftn(values, workers=_FFT_WORKERS)
 
-    def _potential_hat(self, values: np.ndarray) -> np.ndarray:
-        """Kernel times the spectrum of the zero-padded data, one axis at a
-        time in rfftn's order (bit for bit rfftn's result), so no transform
-        runs over the all-zero rows of the padded input."""
-        n2 = 2 * self.grid.n
+    def coulomb(self, values: np.ndarray) -> np.ndarray:
+        """(-Delta)^{-1} applied to real data: the free-space potential.
+
+        The zero-padded (2N)^3 data is transformed one axis at a time in
+        rfftn's order, so no transform runs over the all-zero rows, and each
+        inverse axis is cut to its N kept outputs before the next one runs;
+        the 1/(2N)^3 comes last, where irfftn applies it.  The result is bit
+        for bit the dense padded solve."""
+        n = self.grid.n
+        n2 = 2 * n
         vhat = sfft.rfft(values, n=n2, axis=2, workers=_FFT_WORKERS)
         vhat = sfft.fft(vhat, n=n2, axis=0, workers=_FFT_WORKERS)
         vhat = sfft.fft(vhat, n=n2, axis=1, workers=_FFT_WORKERS)
         vhat *= self.kernel_hat
-        return vhat
-
-    def coulomb_padded(self, values: np.ndarray) -> np.ndarray:
-        """The potential on the full zero-padded (2N)^3 grid."""
-        return sfft.irfftn(self._potential_hat(values), s=(2 * self.grid.n,) * 3, workers=_FFT_WORKERS)
-
-    def coulomb(self, values: np.ndarray) -> np.ndarray:
-        """(-Delta)^{-1} applied to real data: the free-space potential.
-
-        Each inverse axis is cut to its N kept outputs before the next one
-        runs; the 1/(2N)^3 comes last, where irfftn applies it."""
-        n = self.grid.n
-        n2 = 2 * n
-        vhat = self._potential_hat(values)
         v = sfft.ifft(vhat, axis=0, norm="forward", overwrite_x=True, workers=_FFT_WORKERS)
         v = sfft.ifft(v[:n], axis=1, norm="forward", workers=_FFT_WORKERS)
         v = sfft.irfft(v[:, :n], n=n2, axis=2, norm="forward", workers=_FFT_WORKERS)

@@ -48,8 +48,15 @@ __all__ = [
     "mu_star",
     "subadditivity_scan",
     "spectral_floor",
-    "lower_bound_estimate",
 ]
+
+# Barzilai-Borwein step: the first step, and the clamp on every later one.
+TAU0, TAU_MIN, TAU_MAX = 0.1, 1e-7, 50.0
+# Halvings of a rejected step before the flow counts as stationary.
+BACKTRACK_MAX = 40
+# Iterations without an energy drop of energy_tol before the flow stops.
+STALL_ITERS = 100
+
 
 class NumericalAbort(RuntimeError):
     """NaN or overflow encountered inside an iteration."""
@@ -63,22 +70,14 @@ class BracketError(ValueError):
 class MinimizeConfig:
     """Knobs of the normalized gradient flow."""
 
-    tau0: float = 0.1
     max_iters: int = 4000
     grad_tol: float = 1e-7  # on |grad E + omega u|_2 / |u|_{H^1}
     energy_tol: float = 1e-9  # stall detection scale; eps_neg = 10x this
-    init_width: float | None = None
     init_field: ComplexField | None = None  # warm start: one flow from this state
     seed: int = 0
     n_restarts: int = 3
-    tau_min: float = 1e-7
-    tau_max: float = 50.0
-    backtrack_max: int = 40
-    stall_iters: int = 100
 
     def __post_init__(self):
-        if self.tau0 <= 0.0:
-            raise ValueError("initial step must be positive")
         if self.grad_tol <= 0.0 or self.energy_tol <= 0.0:
             raise ValueError("tolerances must be positive")
 
@@ -122,7 +121,7 @@ class _Objective:
         if not np.isfinite(energy):
             raise NumericalAbort("energy became non-finite")
         grad = ev.gradient(self.fields, self.params) if need_grad else None
-        return energy, grad, ev.grad_sq, ev.mass
+        return energy, grad, ev.grad_sq
 
 
 class _RayleighObjective:
@@ -140,7 +139,6 @@ class _RayleighObjective:
     def __call__(self, vals: np.ndarray, need_grad: bool):
         ws = self.ws
         dens = vals.real**2 + vals.imag**2
-        mass = float(np.sum(dens)) * self.dv
         if self._last is None or self._last[0] is not vals:
             self._last = (vals, ws.fft(vals))
         uhat = self._last[1]
@@ -153,7 +151,7 @@ class _RayleighObjective:
         if need_grad:
             lap = ws.ifft(-ws.k2 * uhat)
             grad = 2.0 * (-lap + self.coef * self.s2 * vals)
-        return energy, grad, ksq, mass
+        return energy, grad, ksq
 
 
 @dataclass
@@ -188,9 +186,9 @@ def _normalized_flow(mu: float, objective, u0: np.ndarray, config: MinimizeConfi
     which has the lowest energy."""
     dv = objective.dv
     vals = _rescale_mass(u0.astype(np.complex128), mu, dv)
-    energy, grad, ksq, _ = objective(vals, need_grad=True)
+    energy, grad, ksq = objective(vals, need_grad=True)
 
-    tau = config.tau0
+    tau = TAU0
     prev_vals = prev_grad = None
     stall_anchor = energy
     stall_count = 0
@@ -209,13 +207,13 @@ def _normalized_flow(mu: float, objective, u0: np.ndarray, config: MinimizeConfi
             yy = _real_inner(y, y, dv)
             if yy > 0.0 and np.isfinite(sy):
                 tau = abs(sy) / yy
-            tau = min(max(tau, config.tau_min), config.tau_max)
+            tau = min(max(tau, TAU_MIN), TAU_MAX)
 
         accepted = False
         trial_tau = tau
-        for _ in range(config.backtrack_max):
+        for _ in range(BACKTRACK_MAX):
             trial = _rescale_mass(vals - trial_tau * grad, mu, dv)
-            e_trial, _, _, _ = objective(trial, need_grad=False)
+            e_trial = objective(trial, need_grad=False)[0]
             if e_trial <= energy:
                 accepted = True
                 break
@@ -226,11 +224,11 @@ def _normalized_flow(mu: float, objective, u0: np.ndarray, config: MinimizeConfi
 
         prev_vals, prev_grad = vals, grad
         vals = trial
-        energy, grad, ksq, _ = objective(vals, need_grad=True)
+        energy, grad, ksq = objective(vals, need_grad=True)
 
         if stall_anchor - energy < config.energy_tol:
             stall_count += 1
-            if stall_count >= config.stall_iters:
+            if stall_count >= STALL_ITERS:
                 break
         else:
             stall_anchor = energy
@@ -245,6 +243,14 @@ def _gaussian_trial(grid: Grid3, width: float, mu: float) -> np.ndarray:
     return vals * np.sqrt(mu / mass)
 
 
+def _scan_width(objective, grid: Grid3, mu: float, top: float) -> float:
+    """The width, of ten geometric steps from 3h to top, whose Gaussian of
+    mass mu has the lowest objective value."""
+    widths = np.geomspace(3.0 * grid.spacing, top, 10)
+    energies = [objective(_gaussian_trial(grid, w, mu), need_grad=False)[0] for w in widths]
+    return float(widths[int(np.argmin(energies))])
+
+
 def _initial_states(mu: float, objective: _Objective, config: MinimizeConfig) -> list[np.ndarray]:
     ws = objective.ws
     grid = ws.grid
@@ -254,16 +260,7 @@ def _initial_states(mu: float, objective: _Objective, config: MinimizeConfig) ->
         return [config.init_field.values.copy()]
 
     # gaussian: scan widths for the lowest trial energy, then fan out
-    if config.init_width is not None:
-        best_width = config.init_width
-    else:
-        widths = np.geomspace(3.0 * grid.spacing, grid.length / 5.0, 10)
-        energies = []
-        for w in widths:
-            e_w, _, _, _ = objective(_gaussian_trial(grid, w, mu), need_grad=False)
-            energies.append(e_w)
-        best_width = float(widths[int(np.argmin(energies))])
-
+    best_width = _scan_width(objective, grid, mu, grid.length / 5.0)
     factors = [1.0, 0.6, 1.7, 0.35, 2.8]
     rng = np.random.default_rng(config.seed)
     states = []
@@ -554,10 +551,7 @@ def spectral_floor(
             continue
         ws = SpectralWorkspace(grid)
         objective = _RayleighObjective(profile, e, ws)
-        # width scan for the Rayleigh quotient, mirrors the energy initializer
-        widths = np.geomspace(3.0 * grid.spacing, grid.length / 4.0, 10)
-        trials = [objective(_gaussian_trial(grid, w, 1.0), need_grad=False)[0] for w in widths]
-        w0 = float(widths[int(np.argmin(trials))])
+        w0 = _scan_width(objective, grid, 1.0, grid.length / 4.0)
         try:
             state = _normalized_flow(1.0, objective, _gaussian_trial(grid, w0, 1.0), config)
             out.append(FloorPoint(float(length), state.energy, state.converged, state.iterations))
@@ -565,12 +559,3 @@ def spectral_floor(
             out.append(FloorPoint(float(length), np.nan, False, 0))
     return out
 
-
-def lower_bound_estimate(mu: float, params: PhysParams, rho_norm: float, constant: float = 10.0) -> float:
-    """Coarse floor -C mu^{(5-p)/(7-3p)} - C e^{8/3} mu |rho|_{6/5}^{4/3}.
-
-    The constant is an empirical calibration of the Gagliardo-Nirenberg /
-    Young chain, generous by design; reported c values must stay above it.
-    """
-    p, e = params.p, params.e
-    return -constant * mu ** ((5.0 - p) / (7.0 - 3.0 * p)) - constant * e ** (8.0 / 3.0) * mu * rho_norm ** (4.0 / 3.0)

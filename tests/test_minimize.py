@@ -1,14 +1,17 @@
 """Minimize module: the flow objective, the warm start, evaluation reuse in
-the flow, and the sweeps' bookkeeping around minimize_at_mass."""
+the flow, and the sweeps' and the mu* bisection's bookkeeping around
+minimize_at_mass."""
 
 from types import SimpleNamespace
 
 import numpy as np
+import pytest
 
 from spwaves import minimize
 from spwaves.energy import PhysParams, energy_breakdown, grad_E
 from spwaves.grid import ComplexField, SpectralWorkspace
 from spwaves.minimize import (
+    BracketError,
     HomogeneityPoint,
     MinimizeConfig,
     NumericalAbort,
@@ -19,6 +22,7 @@ from spwaves.minimize import (
     _Objective,
     c_curve,
     minimize_at_mass,
+    mu_star,
     subadditivity_scan,
 )
 from spwaves.profiles import GaussianProfile, ZeroProfile
@@ -29,14 +33,13 @@ from conftest import smooth_random_complex
 def test_objective_matches_breakdown_and_gradient(grid32, ws32, rng):
     prof, params = GaussianProfile(1.0, 1.0), PhysParams(2.1, 0.3)
     u = ComplexField(grid32, smooth_random_complex(grid32, rng))
-    energy, grad, ksq, mass = _Objective(prof, params, ws32)(u.values, need_grad=True)
+    energy, grad, ksq = _Objective(prof, params, ws32)(u.values, need_grad=True)
     bd = energy_breakdown(u, prof, params, ws32)
     assert abs(energy - bd.energy) <= 1e-14 * abs(bd.energy)
     assert abs(ksq - bd.grad_l2_sq) <= 1e-14 * bd.grad_l2_sq
-    assert abs(mass - bd.mass) <= 1e-14 * bd.mass
     ref = grad_E(u, prof, params, ws32).values
     assert np.max(np.abs(grad - ref)) <= 1e-14 * np.max(np.abs(ref))
-    energy_only, no_grad, _, _ = _Objective(prof, params, ws32)(u.values, need_grad=False)
+    energy_only, no_grad, _ = _Objective(prof, params, ws32)(u.values, need_grad=False)
     assert energy_only == energy and no_grad is None
 
 
@@ -139,3 +142,49 @@ def test_subadditivity_scan_minimizes_each_mass_once(grid24, monkeypatch):
         HomogeneityPoint(lam, s, c_of(lam * s, prof) - lam * c_of(s, prof), True) for lam in (1.25, 1.5, 2.0)
     )
     assert report == SubadditivityReport(mu, c_of(mu, prof), (split,), homogeneity)
+
+
+def _fake_c_inf(monkeypatch, threshold):
+    """Replaces minimize_at_mass by c_inf(mu) = threshold - mu and records
+    the (mass, profile, config, workspace) of every call."""
+    calls = []
+
+    def fake_minimize(mu, profile, params, cfg, ws):
+        calls.append((mu, profile, cfg, ws))
+        return SimpleNamespace(c_value=threshold - mu)
+
+    monkeypatch.setattr(minimize, "minimize_at_mass", fake_minimize)
+    return calls
+
+
+@pytest.mark.parametrize("bracket", [(0.0, 1.0), (-1.0, 1.0), (2.0, 1.0), (1.0, 1.0)])
+def test_mu_star_rejects_a_disordered_bracket_before_minimizing(bracket, ws24, monkeypatch):
+    calls = _fake_c_inf(monkeypatch, 5.0)
+    with pytest.raises(BracketError, match="0 < low < high"):
+        mu_star(PhysParams(2.1, 0.3), MinimizeConfig(), bracket, 0.1, ws24)
+    assert calls == []
+
+
+@pytest.mark.parametrize("bracket", [(1.0, 4.0), (6.0, 9.0)])
+def test_mu_star_reports_both_energies_of_a_non_straddling_bracket(bracket, ws24, monkeypatch):
+    calls = _fake_c_inf(monkeypatch, 5.0)
+    with pytest.raises(BracketError) as err:
+        mu_star(PhysParams(2.1, 0.3), MinimizeConfig(), bracket, 0.1, ws24)
+    lo, hi = bracket
+    assert f"c_inf({lo}) = {5.0 - lo:.3e}" in str(err.value)
+    assert f"c_inf({hi}) = {5.0 - hi:.3e}" in str(err.value)
+    assert [c[0] for c in calls] == [lo, hi]
+
+
+def test_mu_star_bisects_to_the_threshold(ws24, monkeypatch):
+    calls = _fake_c_inf(monkeypatch, 3.7)
+    config, tol = MinimizeConfig(), 1.0 / 64.0
+    res = mu_star(PhysParams(2.1, 0.3), config, (1.0, 9.0), tol, ws24)
+    # c_inf(mu) < -eps_neg exactly when mu > 3.7 + eps_neg
+    assert abs(res.value - (3.7 + config.eps_neg)) <= tol
+    assert res.bracket_low <= 3.7 + config.eps_neg < res.bracket_high
+    assert res.bracket_high - res.bracket_low <= tol
+    assert (res.energy_low, res.energy_high) == (3.7 - 1.0, 3.7 - 9.0)
+    # the width 8 halves 9 times to 1/64
+    assert res.evaluations == len(calls) == 2 + 9
+    assert all(isinstance(prof, ZeroProfile) and cfg is config and ws is ws24 for _, prof, cfg, ws in calls)
