@@ -9,6 +9,8 @@ rather than its periodic images.
 
 from __future__ import annotations
 
+import functools
+import os
 import warnings
 from dataclasses import dataclass, field
 
@@ -26,10 +28,8 @@ __all__ = [
     "inner",
     "lp_norm",
     "laplacian",
-    "gradient_fields",
     "grad_norm_sq",
     "coulomb_solve",
-    "kinetic_phase",
     "coulomb_kernel_spectrum",
     "boundary_mass_fraction",
 ]
@@ -149,55 +149,110 @@ def coulomb_kernel_spectrum(kmag: np.ndarray, radius: float) -> np.ndarray:
     kmag = np.asarray(kmag, dtype=np.float64)
     small = kmag < 1e-12
     safe = np.where(small, 1.0, kmag)
-    out = (1.0 - np.cos(radius * safe)) / safe**2
-    return np.where(small, radius**2 / 2.0, out)
+    # out= keeps a 0-d input an array, which the in-place steps need
+    out = np.multiply(safe, radius, out=np.empty_like(safe))
+    np.cos(out, out=out)
+    np.subtract(1.0, out, out=out)
+    out /= np.square(safe, out=safe)
+    out[small] = radius**2 / 2.0
+    return out
 
 
-def _build_kernel_hat(grid: Grid3, radius: float) -> np.ndarray:
-    """Effective kernel spectrum for the zero-padded (2N)^3 transform.
+# Axis-2 columns of the (4N)^3 kernel spectrum evaluated and transformed
+# together; of 1, 4, 8 and 16, 8 built fastest at N=96 on 2 cores.
+_KERNEL_SLAB = 8
 
-    The analytic truncated-kernel spectrum sampled straight onto the (2N)^3
-    wavenumbers would periodize the kernel at period 2L, and with
-    T = sqrt(3) L those periodic images pollute every pair separated by
-    more than (2 - sqrt(3)) L.  Instead the kernel is rendered alias-free
-    on a transient (4N)^3 grid (period 4L > sqrt(3) L + T), its real-space
-    values on the difference range [-L, L)^3 are extracted, and those are
-    transformed back at size (2N)^3.  The resulting circular convolution
-    with zero-padded data is the exact aperiodic sum over the box.
+
+def _kernel_build_bytes(n: int) -> int:
+    """Peak bytes of one kernel build at grid size n: the three largest
+    buffers of _unit_kernel_hat, the pruned spectrum, the last inverse
+    pass's output and one slab, counted as if all alive at once."""
+    n2, n4 = 2 * n, 4 * n
+    return 16 * n2 * n2 * (n2 + 1) + 8 * n2 * n2 * n4 + 16 * n4 * n4 * _KERNEL_SLAB
+
+
+@functools.cache
+def _unit_kernel_hat(n: int) -> np.ndarray:
+    """Effective kernel spectrum for the zero-padded (2N)^3 transform on the
+    unit box (L = 1, T = sqrt(3)); read-only, built once per N.
+
+    With T = sqrt(3) L the spectrum on a box of side L is exactly L^2 times
+    this one.  The analytic truncated-kernel spectrum sampled straight onto
+    the (2N)^3 wavenumbers would periodize the kernel at period 2L, and
+    those periodic images pollute every pair separated by more than
+    (2 - sqrt(3)) L.  Instead the kernel is rendered alias-free on the
+    (4N)^3 grid (period 4L > sqrt(3) L + T), its real-space values on the
+    difference range [-L, L)^3 are kept, and those are transformed back at
+    size (2N)^3.  The resulting circular convolution with zero-padded data
+    is the exact aperiodic sum over the box.
+
+    The (4N)^3 inverse runs in irfftn's own order, axis 0, axis 1, then the
+    real axis 2, each pass cut to the 2N kept offsets before the next and
+    the 1/(4N)^3 applied last: bit for bit the dense irfftn, without the
+    (4N)^3 real array.  The first two passes run one slab of axis-2 columns
+    at a time, and in each slab the spectrum is evaluated for k_x, k_y >= 0
+    only and mirrored, since fftfreq's negative wavenumbers are the exact
+    negatives of the positive ones.
     """
-    n, h = grid.n, grid.spacing
-    n4 = 4 * n
-    k1 = 2.0 * np.pi * sfft.fftfreq(n4, d=h)
-    kr = 2.0 * np.pi * sfft.rfftfreq(n4, d=h)
-    kmag = np.sqrt(
-        (k1**2)[:, None, None] + (k1**2)[None, :, None] + (kr**2)[None, None, :]
-    )
-    ghat4 = coulomb_kernel_spectrum(kmag, radius)
-    del kmag
-    w4 = sfft.irfftn(ghat4, s=(n4, n4, n4), workers=_FFT_WORKERS)
-    del ghat4
+    n2, n4 = 2 * n, 4 * n
+    k1 = 2.0 * np.pi * sfft.fftfreq(n4, d=1.0 / n)
+    kr = 2.0 * np.pi * sfft.rfftfreq(n4, d=1.0 / n)
     idx = np.r_[0 : n + 1, n4 - n + 1 : n4]  # offsets 0..n, -(n-1)..-1
-    kernel = w4[np.ix_(idx, idx, idx)].copy()
-    del w4
-    khat = sfft.rfftn(kernel, workers=_FFT_WORKERS).real
+    h = n2 + 1  # wavenumbers 0..2N; rows h.. mirror rows 2N-1..1
+    kxy = (k1[:h] ** 2)[:, None, None] + (k1[:h] ** 2)[None, :, None]
+    pruned = np.empty((n2, n2, kr.size), dtype=np.complex128)
+    for k0 in range(0, kr.size, _KERNEL_SLAB):
+        cols = slice(k0, k0 + _KERNEL_SLAB)
+        # Complex from the start: a real input takes pocketfft's real-input
+        # path, which rounds differently from irfftn.
+        slab = np.empty((n4, n4, kr[cols].size), dtype=np.complex128)
+        slab[:h, :h] = coulomb_kernel_spectrum(
+            np.sqrt(kxy + (kr[cols] ** 2)[None, None, :]), np.sqrt(3.0)
+        )
+        slab[h:, :h] = slab[h - 2 : 0 : -1, :h]
+        slab[:, h:] = slab[:, h - 2 : 0 : -1]
+        part = sfft.ifft(slab, axis=0, norm="forward", overwrite_x=True, workers=_FFT_WORKERS)[idx]
+        del slab
+        part = sfft.ifft(part, axis=1, norm="forward", overwrite_x=True, workers=_FFT_WORKERS)
+        pruned[:, :, cols] = part[:, idx]
+    del part
+    full = sfft.irfft(pruned, n=n4, axis=2, norm="forward", workers=_FFT_WORKERS)
+    del pruned
+    kernel = full[:, :, idx]
+    del full
+    kernel *= 1.0 / n4**3
+    khat = sfft.rfftn(kernel, workers=_FFT_WORKERS).real.copy()
     # Tiny negative excursions from windowing the periodized kernel are
     # clipped so the solve stays positive semidefinite mode-wise.
     np.maximum(khat, 0.0, out=khat)
+    khat.flags.writeable = False
     return khat
 
 
 class SpectralWorkspace:
     """Transform tables and the precomputed Coulomb kernel for one grid.
 
-    Solves keep no scratch state, but the kernel is built unguarded on first
-    use, so concurrent workers that reach an unbuilt kernel each build it:
-    touch ``kernel_hat`` before sharing a workspace between workers.  Fields
-    are immutable and may move between threads freely.
+    The unit-box kernel is built once per N per process and shared
+    read-only by every workspace of that N; each workspace scales it by L^2
+    on first use.  Neither step is guarded, so concurrent workers that reach
+    an unbuilt kernel each build it: touch ``kernel_hat`` before sharing a
+    workspace between workers.  Solves keep no scratch state, and fields are
+    immutable and may move between threads freely.
+
+    A grid whose kernel build would need more than the host's physical
+    memory raises MemoryError here, before anything is allocated.
     """
 
     def __init__(self, grid: Grid3):
+        need = _kernel_build_bytes(grid.n)
+        have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+        if need > have:
+            raise MemoryError(
+                f"building the Coulomb kernel for N={grid.n} needs about {need} bytes; "
+                f"this host has {have} bytes of physical memory"
+            )
         self.grid = grid
-        # T = sqrt(3) L spans the box diagonal; _build_kernel_hat is
+        # T = sqrt(3) L spans the box diagonal; the kernel build is
         # alias-free only for T < (4 - sqrt(3)) L.
         self.truncation_radius = np.sqrt(3.0) * grid.length
         self.k2 = grid.wavenumber_sq()
@@ -205,9 +260,9 @@ class SpectralWorkspace:
 
     @property
     def kernel_hat(self) -> np.ndarray:
-        """Coulomb kernel spectrum on the padded grid, built on first use."""
+        """Coulomb kernel spectrum on the padded grid, made on first use."""
         if self._kernel_hat is None:
-            self._kernel_hat = _build_kernel_hat(self.grid, self.truncation_radius)
+            self._kernel_hat = self.grid.length**2 * _unit_kernel_hat(self.grid.n)
         return self._kernel_hat
 
     def fft(self, values: np.ndarray) -> np.ndarray:
@@ -267,17 +322,6 @@ def laplacian(u: ComplexField, ws: SpectralWorkspace) -> ComplexField:
     return ComplexField(u.grid, out)
 
 
-def gradient_fields(u: ComplexField, ws: SpectralWorkspace) -> tuple[ComplexField, ...]:
-    """The three spectral first derivatives of u."""
-    _require_same_grid(u, ws.grid)
-    uhat = ws.fft(u.values)
-    k1 = u.grid.wavenumbers()
-    shapes = [(-1, 1, 1), (1, -1, 1), (1, 1, -1)]
-    return tuple(
-        ComplexField(u.grid, ws.ifft(1j * k1.reshape(s) * uhat)) for s in shapes
-    )
-
-
 def grad_norm_sq(u: ComplexField, ws: SpectralWorkspace) -> float:
     """integral |grad u|^2 via Parseval."""
     _require_same_grid(u, ws.grid)
@@ -311,10 +355,3 @@ def coulomb_solve(f: RealField, ws: SpectralWorkspace) -> RealField:
             stacklevel=2,
         )
     return RealField(f.grid, ws.coulomb(f.values))
-
-
-def kinetic_phase(psi: ComplexField, ws: SpectralWorkspace, t: float) -> ComplexField:
-    """exp(i t Delta) psi: each mode is multiplied by exp(-i |k|^2 t)."""
-    _require_same_grid(psi, ws.grid)
-    phase = np.exp(-1j * ws.k2 * t)
-    return ComplexField(psi.grid, ws.ifft(phase * ws.fft(psi.values)))

@@ -413,11 +413,15 @@ def mu_star(
 
     The bracket must satisfy c_inf(low) >= -eps_neg and c_inf(high) < -eps_neg;
     otherwise the measured endpoint energies are reported in the error.
+    Bisection stops at width tol, or sooner once the midpoint rounds to an
+    endpoint.
     """
     params.warn_outside_regime("mu_star")
     lo, hi = float(bracket[0]), float(bracket[1])
     if not (0.0 < lo < hi):
         raise BracketError(f"bracket must satisfy 0 < low < high, got ({lo}, {hi})")
+    if not (tol > 0.0 and np.isfinite(tol)):
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     zero = ZeroProfile()
     eps = config.eps_neg
     evals = 0
@@ -435,6 +439,8 @@ def mu_star(
         )
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
         if c_inf(mid) < -eps:
             hi = mid
         else:

@@ -4,6 +4,8 @@ Expected values are closed forms (Gaussian moments, erf potential, plane
 waves) or brute-force oracles (direct kernel summation).
 """
 
+import os
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -18,14 +20,14 @@ from spwaves.grid import (
     GridMismatchError,
     RealField,
     SpectralWorkspace,
+    _kernel_build_bytes,
+    _unit_kernel_hat,
     boundary_mass_fraction,
     coulomb_kernel_spectrum,
     coulomb_solve,
     grad_norm_sq,
-    gradient_fields,
     integrate,
     inner,
-    kinetic_phase,
     laplacian,
     lp_norm,
 )
@@ -35,6 +37,20 @@ from conftest import smooth_random_complex
 
 def gaussian(grid, width=1.0):
     return np.exp(-grid.radius_sq() / (2.0 * width**2))
+
+
+def dense_kernel_hat(grid, radius):
+    """The kernel build on the full (4N)^3 grid: render the truncated kernel
+    with one irfftn, keep its values on [-L, L)^3, transform back."""
+    n, h = grid.n, grid.spacing
+    n4 = 4 * n
+    k1 = 2.0 * np.pi * sfft.fftfreq(n4, d=h)
+    kr = 2.0 * np.pi * sfft.rfftfreq(n4, d=h)
+    kmag = np.sqrt((k1**2)[:, None, None] + (k1**2)[None, :, None] + (kr**2)[None, None, :])
+    w4 = sfft.irfftn(coulomb_kernel_spectrum(kmag, radius), s=(n4, n4, n4))
+    idx = np.r_[0 : n + 1, n4 - n + 1 : n4]
+    khat = sfft.rfftn(w4[np.ix_(idx, idx, idx)].copy()).real
+    return np.maximum(khat, 0.0)
 
 
 class TestGrid3:
@@ -173,8 +189,10 @@ class TestGradNormSq:
     def test_matches_explicit_gradient(self, grid32, ws32, rng):
         u = ComplexField(grid32, smooth_random_complex(grid32, rng))
         via_parseval = grad_norm_sq(u, ws32)
-        parts = gradient_fields(u, ws32)
-        via_fields = sum(integrate(p.abs_sq()) for p in parts)
+        uhat = ws32.fft(u.values)
+        k1 = grid32.wavenumbers()
+        parts = [ws32.ifft(1j * k1.reshape(s) * uhat) for s in [(-1, 1, 1), (1, -1, 1), (1, 1, -1)]]
+        via_fields = sum(integrate(ComplexField(grid32, p).abs_sq()) for p in parts)
         assert abs(via_parseval - via_fields) / via_fields < 1e-10
 
 
@@ -283,26 +301,52 @@ class TestCoulombSolve:
         assert np.max(err) < 1e-4 * np.max(np.abs(v0.values))
 
 
-class TestKineticPhase:
-    def test_t_zero_identity(self, grid32, ws32, rng):
-        psi = ComplexField(grid32, smooth_random_complex(grid32, rng))
-        out = kinetic_phase(psi, ws32, 0.0)
-        assert np.max(np.abs(out.values - psi.values)) < 1e-13
+class TestKernel:
+    @pytest.mark.parametrize("n", [16, 24, 32])
+    def test_pruned_build_equals_dense_build(self, n):
+        assert np.array_equal(_unit_kernel_hat(n), dense_kernel_hat(Grid3(n, 1.0), np.sqrt(3.0)))
 
-    def test_plane_wave_phase(self, grid32, ws32):
-        kvec = 2.0 * np.pi / grid32.length * np.array([1.0, 4.0, -2.0])
-        x, y, z = grid32.coords()
-        wave = np.exp(1j * (kvec[0] * x + kvec[1] * y + kvec[2] * z))
-        t = 0.37
-        out = kinetic_phase(ComplexField(grid32, wave), ws32, t)
-        expected = np.exp(-1j * np.dot(kvec, kvec) * t) * wave
-        assert np.max(np.abs(out.values - expected)) < 1e-12
+    @pytest.mark.parametrize("length", [8.0, 16.0])
+    def test_scaled_kernel_equals_dense_build_on_power_of_two_boxes(self, length):
+        ws = SpectralWorkspace(Grid3(32, length))
+        assert np.array_equal(ws.kernel_hat, dense_kernel_hat(ws.grid, ws.truncation_radius))
 
-    def test_unitary(self, grid32, ws32, rng):
-        psi = ComplexField(grid32, rng.standard_normal((32,) * 3) + 1j * rng.standard_normal((32,) * 3))
-        before = lp_norm(psi, 2.0)
-        after = lp_norm(kinetic_phase(psi, ws32, 1.7), 2.0)
-        assert abs(after - before) / before < 1e-13
+    def test_scaled_kernel_matches_dense_build(self):
+        ws = SpectralWorkspace(Grid3(32, 12.0))
+        dense = dense_kernel_hat(ws.grid, ws.truncation_radius)
+        assert np.max(np.abs(ws.kernel_hat - dense)) <= 1e-15 * np.max(dense)
+
+    def test_one_build_per_grid_size(self):
+        # N=20 is built by no other test, so its first use here misses once.
+        before = _unit_kernel_hat.cache_info()
+        small, large = SpectralWorkspace(Grid3(20, 8.0)), SpectralWorkspace(Grid3(20, 24.0))
+        assert np.array_equal(large.kernel_hat, 9.0 * small.kernel_hat)
+        after = _unit_kernel_hat.cache_info()
+        assert (after.misses - before.misses, after.hits - before.hits) == (1, 1)
+        assert not _unit_kernel_hat(20).flags.writeable
+
+    def test_build_peak_is_within_the_estimate(self):
+        tracemalloc.start()
+        try:
+            _unit_kernel_hat.__wrapped__(32)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        estimate = _kernel_build_bytes(32)
+        assert 0.75 * estimate < peak <= estimate
+
+    def test_grid_too_large_for_memory_fails_before_allocating(self):
+        physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+        tracemalloc.start()
+        try:
+            with pytest.raises(MemoryError) as err:
+                SpectralWorkspace(Grid3(4096, 16.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert f"{_kernel_build_bytes(4096)} bytes" in str(err.value)
+        assert f"{physical} bytes" in str(err.value)
+        assert peak < 2**20
 
 
 class TestRoundTrip:

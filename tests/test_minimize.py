@@ -151,6 +151,8 @@ def _fake_c_inf(monkeypatch, threshold):
 
     def fake_minimize(mu, profile, params, cfg, ws):
         calls.append((mu, profile, cfg, ws))
+        if len(calls) > 200:
+            raise AssertionError("mu_star is still bisecting after 200 minimizations")
         return SimpleNamespace(c_value=threshold - mu)
 
     monkeypatch.setattr(minimize, "minimize_at_mass", fake_minimize)
@@ -188,3 +190,21 @@ def test_mu_star_bisects_to_the_threshold(ws24, monkeypatch):
     # the width 8 halves 9 times to 1/64
     assert res.evaluations == len(calls) == 2 + 9
     assert all(isinstance(prof, ZeroProfile) and cfg is config and ws is ws24 for _, prof, cfg, ws in calls)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
+def test_mu_star_rejects_a_tol_that_is_not_positive_and_finite(tol, ws24, monkeypatch):
+    calls = _fake_c_inf(monkeypatch, 3.7)
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        mu_star(PhysParams(2.1, 0.3), MinimizeConfig(), (1.0, 9.0), tol, ws24)
+    assert calls == []
+
+
+def test_mu_star_stops_at_the_float_spacing(ws24, monkeypatch):
+    calls = _fake_c_inf(monkeypatch, 3.7)
+    config = MinimizeConfig()
+    res = mu_star(PhysParams(2.1, 0.3), config, (1.0, 9.0), 1e-20, ws24)
+    assert res.evaluations == len(calls) <= 2 + 60
+    # the bracket ends as two adjacent floats around the threshold
+    assert res.bracket_high == np.nextafter(res.bracket_low, np.inf)
+    assert res.bracket_low <= 3.7 + config.eps_neg < res.bracket_high
