@@ -9,8 +9,11 @@ certifies upper bounds for the ground-state energy curves
     c_inf(mu)  for the autonomous problem (rho = 0),
 
 and everything derived from them: the critical mass mu* where c_inf turns
-negative, sub-additivity margins, and the spectral floor of the linear
-operator -Delta + 2 e^2 S2.
+negative and sub-additivity margins.
+
+The spectral floor, the lowest eigenvalue of the linear operator
+-Delta + 2 e^2 S2, is a linear eigenproblem and comes from a preconditioned
+eigensolver (LOBPCG), not from the flow.
 """
 
 from __future__ import annotations
@@ -56,6 +59,8 @@ TAU0, TAU_MIN, TAU_MAX = 0.1, 1e-7, 50.0
 BACKTRACK_MAX = 40
 # Iterations without an energy drop of energy_tol before the flow stops.
 STALL_ITERS = 100
+# Shift alpha of the spectral floor's preconditioner (alpha - Delta)^-1.
+FLOOR_SHIFT = 0.05
 
 
 class NumericalAbort(RuntimeError):
@@ -124,36 +129,6 @@ class _Objective:
         return energy, grad, ev.grad_sq
 
 
-class _RayleighObjective:
-    """Quadratic form int(|grad u|^2 + 2 e^2 S2 |u|^2) for the spectral floor.
-    Reuses the last array's spectrum as _Objective reuses its Evaluation."""
-
-    def __init__(self, profile: DopingProfile, e: float, ws: SpectralWorkspace):
-        self.s2 = profile_fields(profile, ws).s2
-        self.coef = 2.0 * e**2
-        self.ws = ws
-        self.dv = ws.grid.cell_volume
-        self.inv_n3 = 1.0 / ws.grid.n**3
-        self._last: tuple[np.ndarray, np.ndarray] | None = None
-
-    def __call__(self, vals: np.ndarray, need_grad: bool):
-        ws = self.ws
-        dens = vals.real**2 + vals.imag**2
-        if self._last is None or self._last[0] is not vals:
-            self._last = (vals, ws.fft(vals))
-        uhat = self._last[1]
-        ksq = float(np.sum(ws.k2 * (uhat.real**2 + uhat.imag**2))) * self.dv * self.inv_n3
-        pot = self.coef * float(np.sum(self.s2 * dens)) * self.dv
-        energy = ksq + pot
-        if not np.isfinite(energy):
-            raise NumericalAbort("Rayleigh quotient became non-finite")
-        grad = None
-        if need_grad:
-            lap = ws.ifft(-ws.k2 * uhat)
-            grad = 2.0 * (-lap + self.coef * self.s2 * vals)
-        return energy, grad, ksq
-
-
 @dataclass
 class _FlowState:
     vals: np.ndarray
@@ -182,8 +157,8 @@ def _grad_residual(vals: np.ndarray, grad: np.ndarray, ksq: float, mu: float, dv
 
 
 def _normalized_flow(mu: float, objective, u0: np.ndarray, config: MinimizeConfig) -> _FlowState:
-    """Monotone normalized gradient flow from u0; returns the last iterate,
-    which has the lowest energy."""
+    """Monotone normalized gradient flow on the energy E (an _Objective)
+    from u0; returns the last iterate, which has the lowest energy."""
     dv = objective.dv
     vals = _rescale_mass(u0.astype(np.complex128), mu, dv)
     energy, grad, ksq = objective(vals, need_grad=True)
@@ -243,14 +218,6 @@ def _gaussian_trial(grid: Grid3, width: float, mu: float) -> np.ndarray:
     return vals * np.sqrt(mu / mass)
 
 
-def _scan_width(objective, grid: Grid3, mu: float, top: float) -> float:
-    """The width, of ten geometric steps from 3h to top, whose Gaussian of
-    mass mu has the lowest objective value."""
-    widths = np.geomspace(3.0 * grid.spacing, top, 10)
-    energies = [objective(_gaussian_trial(grid, w, mu), need_grad=False)[0] for w in widths]
-    return float(widths[int(np.argmin(energies))])
-
-
 def _initial_states(mu: float, objective: _Objective, config: MinimizeConfig) -> list[np.ndarray]:
     ws = objective.ws
     grid = ws.grid
@@ -259,8 +226,10 @@ def _initial_states(mu: float, objective: _Objective, config: MinimizeConfig) ->
             raise ValueError("init_field lives on a different grid")
         return [config.init_field.values.copy()]
 
-    # gaussian: scan widths for the lowest trial energy, then fan out
-    best_width = _scan_width(objective, grid, mu, grid.length / 5.0)
+    # gaussian: of ten widths from 3h to L/5, the one with the lowest trial energy, then fan out
+    widths = np.geomspace(3.0 * grid.spacing, grid.length / 5.0, 10)
+    energies = [objective(_gaussian_trial(grid, w, mu), need_grad=False)[0] for w in widths]
+    best_width = float(widths[int(np.argmin(energies))])
     factors = [1.0, 0.6, 1.7, 0.35, 2.8]
     rng = np.random.default_rng(config.seed)
     states = []
@@ -528,10 +497,74 @@ def subadditivity_scan(
 
 @dataclass(frozen=True)
 class FloorPoint:
+    """The floor on one box: the lowest eigenvalue, whether the eigensolver
+    met grad_tol, and how many of its iterations it ran."""
+
     box_length: float
     floor: float
     converged: bool
     iterations: int
+
+
+def _lowest_eigenvalue(
+    potential: np.ndarray, ws: SpectralWorkspace, x: np.ndarray, config: MinimizeConfig
+) -> tuple[float, int, bool]:
+    """Lowest eigenvalue of A = -Delta + potential by LOBPCG with block size
+    one (Knyazev, SIAM J. Sci. Comput. 23, 2001), from the real array x.
+
+    Each iteration runs Rayleigh-Ritz on span{x, P r, p}: r = A x - lambda x,
+    P = (FLOOR_SHIFT - Delta)^-1 (Antoine, Levitt & Tang, J. Comput. Phys.
+    343, 2017) and p the previous direction, dropped when the Gram matrix is
+    not positive definite.  It stops on the flow's residual for the quadratic
+    form <u, A u> at unit mass, so grad_tol and max_iters keep their meaning.
+    Returns (lambda, iterations, converged).
+    """
+    dv = ws.grid.cell_volume
+    precond = 1.0 / (FLOOR_SHIFT + ws.k2)
+    potential = potential.ravel()
+
+    def filtered(symbol: np.ndarray, v: np.ndarray) -> np.ndarray:
+        return ws.ifft(symbol * ws.fft(v.reshape(ws.k2.shape))).real.ravel()
+
+    def apply(v: np.ndarray) -> np.ndarray:
+        return filtered(ws.k2, v) + potential * v
+
+    def unit(v: np.ndarray, av: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        scale = 1.0 / np.sqrt(v @ v * dv)
+        return scale * v, scale * av
+
+    def rayleigh(v: np.ndarray, av: np.ndarray) -> float:
+        lam = float(v @ av) * dv
+        if not np.isfinite(lam):
+            raise NumericalAbort("Rayleigh quotient became non-finite")
+        return lam
+
+    x = x.ravel()
+    x, ax = unit(x, apply(x))
+    lam = rayleigh(x, ax)
+    prev: tuple[np.ndarray, ...] = ()  # (p, A p) once there is a previous direction
+    converged = False
+    it = 0
+    for it in range(1, config.max_iters + 1):
+        ksq = lam - float(potential @ (x * x)) * dv  # int |grad x|^2 at unit mass
+        if _grad_residual(x, 2.0 * ax, ksq, 1.0, dv) < config.grad_tol:
+            converged = True
+            break
+        w = filtered(precond, ax - lam * x)
+        w, aw = unit(w, apply(w))
+        basis, abasis = np.array([x, w, *prev[:1]]), np.array([ax, aw, *prev[1:]])
+        gram, hess = basis @ basis.T, basis @ abasis.T
+        try:
+            chol = np.linalg.cholesky(gram)
+        except np.linalg.LinAlgError:  # p has fallen into span{x, w}: drop it
+            basis, abasis, gram, hess = basis[:2], abasis[:2], gram[:2, :2], hess[:2, :2]
+            chol = np.linalg.cholesky(gram)
+        inv = np.linalg.inv(chol)
+        coef = inv.T @ np.linalg.eigh(inv @ (0.5 * (hess + hess.T)) @ inv.T)[1][:, 0]
+        prev = unit(coef[1:] @ basis[1:], coef[1:] @ abasis[1:])
+        x, ax = unit(coef @ basis, coef @ abasis)
+        lam = rayleigh(x, ax)
+    return lam, it, converged
 
 
 def spectral_floor(
@@ -541,11 +574,13 @@ def spectral_floor(
     config: MinimizeConfig,
     points_per_axis: int,
 ) -> list[FloorPoint]:
-    """Rayleigh-quotient floor of -Delta + 2 e^2 S2 on boxes of growing size.
+    """Lowest eigenvalue of -Delta + 2 e^2 S2 on boxes of growing size.
 
-    Runs the same normalized flow on the quadratic functional at unit mass;
-    the sequence of floors across box sizes probes whether the doping well
-    binds a state (floor stays negative) or not (floor drains to zero).
+    Each floor comes from a preconditioned eigensolver (LOBPCG) started from
+    a Gaussian of width L/8, and FloorPoint.iterations counts its
+    iterations; the sequence of floors across box sizes probes whether the
+    doping well binds a state (floor stays negative) or not (floor drains to
+    zero).
     """
     if e <= 0.0:
         raise ValueError("coupling must be positive")
@@ -556,12 +591,11 @@ def spectral_floor(
             out.append(FloorPoint(float(length), 0.0, True, 0))
             continue
         ws = SpectralWorkspace(grid)
-        objective = _RayleighObjective(profile, e, ws)
-        w0 = _scan_width(objective, grid, 1.0, grid.length / 4.0)
+        potential = 2.0 * e**2 * profile_fields(profile, ws).s2
+        x0 = _gaussian_trial(grid, grid.length / 8.0, 1.0).real
         try:
-            state = _normalized_flow(1.0, objective, _gaussian_trial(grid, w0, 1.0), config)
-            out.append(FloorPoint(float(length), state.energy, state.converged, state.iterations))
+            floor, iterations, converged = _lowest_eigenvalue(potential, ws, x0, config)
+            out.append(FloorPoint(float(length), floor, converged, iterations))
         except NumericalAbort:
             out.append(FloorPoint(float(length), np.nan, False, 0))
     return out
-

@@ -10,7 +10,6 @@ supports the boundary surface functional used in the Pohozaev identity.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
@@ -110,7 +109,7 @@ class BallsProfile:
                     raise ValueError("balls must be pairwise disjoint")
 
 
-DopingProfile = Union[ZeroProfile, GaussianProfile, PowerLawProfile, BallsProfile]
+DopingProfile = ZeroProfile | GaussianProfile | PowerLawProfile | BallsProfile
 
 
 def _check_ball_in_box(ball: BallSpec, grid: Grid3):

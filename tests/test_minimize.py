@@ -1,6 +1,6 @@
 """Minimize module: the flow objective, the warm start, evaluation reuse in
-the flow, and the sweeps' and the mu* bisection's bookkeeping around
-minimize_at_mass."""
+the flow, the sweeps' and the mu* bisection's bookkeeping around
+minimize_at_mass, and the spectral floor against a dense eigensolver."""
 
 from types import SimpleNamespace
 
@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from spwaves import minimize
-from spwaves.energy import PhysParams, energy_breakdown, grad_E
-from spwaves.grid import ComplexField, SpectralWorkspace
+from spwaves.energy import PhysParams, energy_breakdown, grad_E, profile_fields
+from spwaves.grid import ComplexField, Grid3, SpectralWorkspace
 from spwaves.minimize import (
     BracketError,
     HomogeneityPoint,
@@ -23,6 +23,7 @@ from spwaves.minimize import (
     c_curve,
     minimize_at_mass,
     mu_star,
+    spectral_floor,
     subadditivity_scan,
 )
 from spwaves.profiles import GaussianProfile, ZeroProfile
@@ -208,3 +209,53 @@ def test_mu_star_stops_at_the_float_spacing(ws24, monkeypatch):
     # the bracket ends as two adjacent floats around the threshold
     assert res.bracket_high == np.nextafter(res.bracket_low, np.inf)
     assert res.bracket_low <= 3.7 + config.eps_neg < res.bracket_high
+
+
+def _dense_floor(grid, potential):
+    """Lowest eigenvalue of -Delta + potential as a dense matrix: the 1-D
+    spectral second derivative from the DFT matrix, Kronecker-summed over
+    the three axes, with no FFT and no iteration."""
+    n = grid.n
+    idx = np.arange(n)
+    dft = np.exp(-2j * np.pi * np.outer(idx, idx) / n)
+    k2 = grid.wavenumbers() ** 2
+    minus_d2 = (dft.conj().T @ (k2[:, None] * dft)).real / n
+    eye = np.eye(n)
+    minus_lap = (
+        np.kron(np.kron(minus_d2, eye), eye) + np.kron(np.kron(eye, minus_d2), eye) + np.kron(np.kron(eye, eye), minus_d2)
+    )
+    return np.linalg.eigvalsh(minus_lap + np.diag(potential.ravel()))[0]
+
+
+@pytest.mark.parametrize("n", [8, 10])
+def test_spectral_floor_matches_dense_eigenvalue(n):
+    prof, e, length = GaussianProfile(1.0, 1.0), 0.3, 8.0
+    (pt,) = spectral_floor(prof, e, (length,), MinimizeConfig(), n)
+    grid = Grid3(n, length)
+    dense = _dense_floor(grid, 2.0 * e**2 * profile_fields(prof, SpectralWorkspace(grid)).s2)
+    assert pt.converged and pt.box_length == length
+    assert abs(pt.floor - dense) <= 1e-9 * abs(dense)
+
+
+def test_spectral_floor_converges_in_few_iterations():
+    (pt,) = spectral_floor(GaussianProfile(1.0, 1.0), 0.3, (16.0,), MinimizeConfig(), 16)
+    assert pt.converged and pt.iterations <= 30
+
+
+def test_spectral_floor_reports_the_iteration_cap():
+    (pt,) = spectral_floor(GaussianProfile(1.0, 1.0), 0.3, (16.0,), MinimizeConfig(max_iters=2), 16)
+    assert (pt.converged, pt.iterations) == (False, 2)
+
+
+def test_spectral_floor_of_zero_doping_is_zero():
+    rows = spectral_floor(ZeroProfile(), 0.3, (8.0, 12.0), MinimizeConfig(), 16)
+    assert rows == [minimize.FloorPoint(8.0, 0.0, True, 0), minimize.FloorPoint(12.0, 0.0, True, 0)]
+
+
+def test_spectral_floor_turns_an_abort_into_a_nan_row(monkeypatch):
+    def overflowing(profile, ws):
+        return SimpleNamespace(s2=np.full(ws.k2.shape, np.inf))
+
+    monkeypatch.setattr(minimize, "profile_fields", overflowing)
+    (pt,) = spectral_floor(GaussianProfile(1.0, 1.0), 0.3, (8.0,), MinimizeConfig(), 8)
+    assert np.isnan(pt.floor) and (pt.box_length, pt.converged, pt.iterations) == (8.0, False, 0)
