@@ -25,13 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .grid import (
-    ComplexField,
-    Grid3,
-    RealField,
-    SpectralWorkspace,
-    coulomb_solve,
-)
+from .grid import ComplexField, Grid3, RealField, SpectralWorkspace
 from .profiles import (
     BallsProfile,
     DopingProfile,
@@ -51,7 +45,6 @@ __all__ = [
     "ScalingEntry",
     "ScalingReport",
     "profile_fields",
-    "solve_S1",
     "compute_S2",
     "energy_breakdown",
     "grad_E",
@@ -128,12 +121,6 @@ def profile_fields(profile: DopingProfile, ws: SpectralWorkspace) -> ProfileFiel
     return fields
 
 
-def solve_S1(u: ComplexField, ws: SpectralWorkspace) -> RealField:
-    """S1(u) = (-Delta)^{-1}(|u|^2 / 2)."""
-    dens = u.abs_sq()
-    return coulomb_solve(RealField(u.grid, 0.5 * dens.values), ws)
-
-
 def compute_S2(profile: DopingProfile, ws: SpectralWorkspace) -> RealField:
     """S2 = (-Delta)^{-1}(-rho/2), cached per (profile, workspace)."""
     return RealField(ws.grid, profile_fields(profile, ws).s2.copy())
@@ -207,8 +194,10 @@ def energy_breakdown(
     ws: SpectralWorkspace,
 ) -> EnergyBreakdown:
     """All energy components of u; E is the flow's objective, so it uses A2
-    in its S2 form (a2prime) and a2 = -1/4 int S1 rho is reported beside it."""
+    in its S2 form (a2prime) and a2 = -1/4 int S1 rho is reported beside it.
+    A state on another grid than the workspace raises GridMismatchError."""
     grid = u.grid
+    ws.grid.require_same(grid)
     fields = profile_fields(profile, ws)
     ev = Evaluation(u.values, ws)
     energy, power, a2prime = ev.energy_terms(fields, params)
@@ -247,7 +236,9 @@ def grad_E(
     params: PhysParams,
     ws: SpectralWorkspace,
 ) -> ComplexField:
-    """L^2 gradient of E: -Delta u - |u|^{p-1} u + e^2 (S1(u) + S2) u."""
+    """L^2 gradient of E: -Delta u - |u|^{p-1} u + e^2 (S1(u) + S2) u.
+    A state on another grid than the workspace raises GridMismatchError."""
+    ws.grid.require_same(u.grid)
     return ComplexField(u.grid, Evaluation(u.values, ws).gradient(profile_fields(profile, ws), params))
 
 

@@ -1,17 +1,18 @@
-"""Uniform periodic grid, scalar fields, and spectral operators.
+"""Uniform periodic grid, scalar fields, and the free-space Coulomb solve.
 
 The computational domain is the cube [-L/2, L/2)^3 sampled at N points per
-axis.  All derivatives are Fourier multipliers; the free-space Coulomb
-solve uses zero padding to (2N)^3 together with a truncated-kernel
-spectrum, so the result approximates the Newtonian potential of the data
-rather than its periodic images.
+axis.  Derivatives are Fourier multipliers on the workspace's ``k2`` table.
+``SpectralWorkspace.coulomb`` is the one Coulomb solve: it zero-pads the
+data to (2N)^3 and applies a truncated-kernel spectrum, so the result
+approximates the Newtonian potential of the data rather than its periodic
+images.  It has no boundary policy; ``boundary_mass_fraction`` measures how
+much of a field reaches the edge of the box.
 """
 
 from __future__ import annotations
 
 import functools
 import os
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,30 +24,16 @@ __all__ = [
     "ComplexField",
     "SpectralWorkspace",
     "GridMismatchError",
-    "BoundaryLeakWarning",
-    "integrate",
-    "inner",
     "lp_norm",
-    "laplacian",
-    "grad_norm_sq",
-    "coulomb_solve",
     "coulomb_kernel_spectrum",
     "boundary_mass_fraction",
 ]
 
 _FFT_WORKERS = -1
 
-# Fraction of total |f| mass allowed in the outer two-cell shell before the
-# Coulomb solve warns about boundary leakage.
-BOUNDARY_MASS_THRESHOLD = 1e-8
-
 
 class GridMismatchError(ValueError):
     """Operands live on different grids."""
-
-
-class BoundaryLeakWarning(UserWarning):
-    """Significant mass sits in the outer shell of the box."""
 
 
 @dataclass(frozen=True)
@@ -100,6 +87,11 @@ class Grid3:
         k1 = self.wavenumbers()
         return (k1**2)[:, None, None] + (k1**2)[None, :, None] + (k1**2)[None, None, :]
 
+    def require_same(self, other: Grid3) -> None:
+        """Raise GridMismatchError unless other is this grid."""
+        if other != self:
+            raise GridMismatchError(f"grid mismatch: {other} vs {self}")
+
 
 def _validate_values(grid: Grid3, values: np.ndarray, dtype) -> np.ndarray:
     values = np.asarray(values, dtype=dtype)
@@ -131,10 +123,6 @@ class ComplexField:
 
     def __post_init__(self):
         object.__setattr__(self, "values", _validate_values(self.grid, self.values, np.complex128))
-
-    def abs_sq(self) -> RealField:
-        v = self.values
-        return RealField(self.grid, v.real**2 + v.imag**2)
 
 
 Field = RealField | ComplexField
@@ -180,11 +168,13 @@ def _unit_kernel_hat(n: int) -> np.ndarray:
     this one.  The analytic truncated-kernel spectrum sampled straight onto
     the (2N)^3 wavenumbers would periodize the kernel at period 2L, and
     those periodic images pollute every pair separated by more than
-    (2 - sqrt(3)) L.  Instead the kernel is rendered alias-free on the
-    (4N)^3 grid (period 4L > sqrt(3) L + T), its real-space values on the
-    difference range [-L, L)^3 are kept, and those are transformed back at
-    size (2N)^3.  The resulting circular convolution with zero-padded data
-    is the exact aperiodic sum over the box.
+    (2 - sqrt(3)) L.  Instead the kernel is rendered on the (4N)^3 grid,
+    its real-space values on the difference range [-L, L)^3 are kept, and
+    those are transformed back at size (2N)^3.  The resulting circular
+    convolution with zero-padded data is the exact aperiodic sum over the
+    box.  T = sqrt(3) L spans the box diagonal, and the (4N)^3 rendering is
+    alias-free only for T < (4 - sqrt(3)) L, where the period 4L exceeds
+    sqrt(3) L + T.
 
     The (4N)^3 inverse runs in irfftn's own order, axis 0, axis 1, then the
     real axis 2, each pass cut to the 2N kept offsets before the next and
@@ -232,6 +222,9 @@ def _unit_kernel_hat(n: int) -> np.ndarray:
 class SpectralWorkspace:
     """Transform tables and the precomputed Coulomb kernel for one grid.
 
+    ``coulomb`` is the package's one Coulomb solve.  It has no boundary
+    policy: data near the edge of the box is solved as given.
+
     The unit-box kernel is built once per N per process and shared
     read-only by every workspace of that N; each workspace scales it by L^2
     on first use.  Neither step is guarded, so concurrent workers that reach
@@ -252,9 +245,6 @@ class SpectralWorkspace:
                 f"this host has {have} bytes of physical memory"
             )
         self.grid = grid
-        # T = sqrt(3) L spans the box diagonal; the kernel build is
-        # alias-free only for T < (4 - sqrt(3)) L.
-        self.truncation_radius = np.sqrt(3.0) * grid.length
         self.k2 = grid.wavenumber_sq()
         self._kernel_hat: np.ndarray | None = None
 
@@ -291,43 +281,12 @@ class SpectralWorkspace:
         return v[..., :n] * (1.0 / n2**3)
 
 
-def _require_same_grid(a: Field, b: Grid3 | Field):
-    grid = b if isinstance(b, Grid3) else b.grid
-    if a.grid != grid:
-        raise GridMismatchError(f"grid mismatch: {a.grid} vs {grid}")
-
-
-def integrate(f: Field) -> float:
-    """Periodic trapezoid quadrature h^3 * sum(values)."""
-    return float(np.sum(f.values).real * f.grid.cell_volume)
-
-
-def inner(a: Field, b: Field) -> complex:
-    """L^2 pairing h^3 * sum(conj(a) b)."""
-    _require_same_grid(a, b)
-    return complex(np.vdot(a.values, b.values) * a.grid.cell_volume)
-
-
 def lp_norm(f: Field, p: float) -> float:
     """(integral |f|^p)^{1/p}."""
     if p < 1.0:
         raise ValueError(f"lp_norm requires p >= 1, got {p}")
     mag = np.abs(f.values)
     return float((np.sum(mag**p) * f.grid.cell_volume) ** (1.0 / p))
-
-
-def laplacian(u: ComplexField, ws: SpectralWorkspace) -> ComplexField:
-    _require_same_grid(u, ws.grid)
-    out = ws.ifft(-ws.k2 * ws.fft(u.values))
-    return ComplexField(u.grid, out)
-
-
-def grad_norm_sq(u: ComplexField, ws: SpectralWorkspace) -> float:
-    """integral |grad u|^2 via Parseval."""
-    _require_same_grid(u, ws.grid)
-    uhat = ws.fft(u.values)
-    mag2 = uhat.real**2 + uhat.imag**2
-    return float(np.sum(ws.k2 * mag2) * u.grid.cell_volume / u.grid.n**3)
 
 
 def boundary_mass_fraction(values: np.ndarray) -> float:
@@ -338,20 +297,3 @@ def boundary_mass_fraction(values: np.ndarray) -> float:
         return 0.0
     interior = float(mag[2:-2, 2:-2, 2:-2].sum())
     return (total - interior) / total
-
-
-def coulomb_solve(f: RealField, ws: SpectralWorkspace) -> RealField:
-    """Free-space Newtonian potential of f: solves -Delta v = f on R^3.
-
-    Accurate when f decays inside the box; mass within the outer two-cell
-    shell beyond BOUNDARY_MASS_THRESHOLD triggers a warning.
-    """
-    _require_same_grid(f, ws.grid)
-    if boundary_mass_fraction(f.values) > BOUNDARY_MASS_THRESHOLD:
-        warnings.warn(
-            "coulomb_solve source has significant mass near the box boundary; "
-            "enlarge the box",
-            BoundaryLeakWarning,
-            stacklevel=2,
-        )
-    return RealField(f.grid, ws.coulomb(f.values))

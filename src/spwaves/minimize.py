@@ -222,8 +222,7 @@ def _initial_states(mu: float, objective: _Objective, config: MinimizeConfig) ->
     ws = objective.ws
     grid = ws.grid
     if config.init_field is not None:
-        if config.init_field.grid != grid:
-            raise ValueError("init_field lives on a different grid")
+        grid.require_same(config.init_field.grid)
         return [config.init_field.values.copy()]
 
     # gaussian: of ten widths from 3h to L/5, the one with the lowest trial energy, then fan out

@@ -12,6 +12,7 @@ import pytest
 from scipy.special import erf
 
 from spwaves.energy import (
+    Evaluation,
     PhysParams,
     RegimeWarning,
     compute_S2,
@@ -23,9 +24,8 @@ from spwaves.energy import (
     pohozaev_residual,
     profile_fields,
     scaling_check,
-    solve_S1,
 )
-from spwaves.grid import ComplexField, Grid3, RealField, SpectralWorkspace, inner, integrate
+from spwaves.grid import ComplexField, Grid3, GridMismatchError, SpectralWorkspace
 from spwaves.profiles import BallSpec, BallsProfile, GaussianProfile, ZeroProfile, sample_rho
 
 from conftest import smooth_random_complex
@@ -68,33 +68,31 @@ class TestPhysParams:
 class TestS1:
     def test_zero_state(self, grid32, ws32):
         u = ComplexField(grid32, np.zeros((32,) * 3, dtype=complex))
-        assert np.max(np.abs(solve_S1(u, ws32).values)) < 1e-14
+        assert np.max(np.abs(Evaluation(u.values, ws32).s1)) < 1e-14
 
     def test_gaussian_closed_form(self, grid64, ws64):
         u = gaussian_state(grid64)
-        s1 = solve_S1(u, ws64)
+        s1 = Evaluation(u.values, ws64).s1
         r = np.sqrt(grid64.radius_sq())
         with np.errstate(invalid="ignore"):
             exact = (np.sqrt(np.pi) / 8.0) * erf(r) / np.where(r == 0.0, 1.0, r)
         exact[r == 0.0] = 0.25
-        assert np.max(np.abs(s1.values - exact) / np.abs(exact)) < 1e-6
+        assert np.max(np.abs(s1 - exact) / np.abs(exact)) < 1e-6
 
     def test_translation_covariance(self, grid32, ws32):
         u = gaussian_state(grid32)
         shift = (2, -3, 5)
-        moved = ComplexField(grid32, np.roll(u.values, shift, axis=(0, 1, 2)))
-        s_moved = solve_S1(moved, ws32)
-        s_base = solve_S1(u, ws32)
+        s_moved = Evaluation(np.roll(u.values, shift, axis=(0, 1, 2)), ws32).s1
+        s_base = Evaluation(u.values, ws32).s1
         # covariance is exact only away from wrap-around; compare centre half
         n = grid32.n
         sl = slice(n // 4, 3 * n // 4)
-        diff = s_moved.values - np.roll(s_base.values, shift, axis=(0, 1, 2))
+        diff = s_moved - np.roll(s_base, shift, axis=(0, 1, 2))
         assert np.max(np.abs(diff[sl, sl, sl])) < 1e-6
 
     def test_pointwise_nonnegative(self, grid32, ws32, rng):
-        u = ComplexField(grid32, smooth_random_complex(grid32, rng))
-        s1 = solve_S1(u, ws32)
-        assert s1.values.min() > -1e-12 * max(1.0, s1.values.max())
+        s1 = Evaluation(smooth_random_complex(grid32, rng), ws32).s1
+        assert s1.min() > -1e-12 * max(1.0, s1.max())
 
 
 class TestS2:
@@ -188,17 +186,13 @@ class TestEnergyBreakdown:
         params = PhysParams(2.2, 1.0)
         u = gaussian_state(grid, width=2.3)
         prof = GaussianProfile(0.4, 0.2)
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            bd = energy_breakdown(u, prof, params, ws)
-            dens = u.abs_sq().values
-            rho = prof.epsilon * np.exp(-prof.alpha * grid.radius_sq())
-            s1_direct = direct_coulomb_sum(grid, 0.5 * dens)
-            dv = grid.cell_volume
-            a1_direct = 0.25 * np.sum(s1_direct * dens) * dv
-            a2_direct = -0.25 * np.sum(s1_direct * rho) * dv
+        bd = energy_breakdown(u, prof, params, ws)
+        dens = np.abs(u.values) ** 2
+        rho = prof.epsilon * np.exp(-prof.alpha * grid.radius_sq())
+        s1_direct = direct_coulomb_sum(grid, 0.5 * dens)
+        dv = grid.cell_volume
+        a1_direct = 0.25 * np.sum(s1_direct * dens) * dv
+        a2_direct = -0.25 * np.sum(s1_direct * rho) * dv
         assert bd.a1 == pytest.approx(a1_direct, rel=1e-3)
         assert bd.a2 == pytest.approx(a2_direct, rel=1e-3)
 
@@ -209,9 +203,9 @@ class TestEnergyBreakdown:
         u = gaussian_state(grid64)
         prof = GaussianProfile(0.3, 1.0)
         bd = energy_breakdown(u, prof, params, ws64)
-        s1 = solve_S1(u, ws64)
+        s1 = Evaluation(u.values, ws64).s1
         xgr = sample_x_grad_rho(prof, grid64)
-        expected = 0.5 * integrate(RealField(grid64, s1.values * xgr.values))
+        expected = 0.5 * float(np.sum(s1 * xgr.values)) * grid64.cell_volume
         assert bd.a3 == pytest.approx(expected, rel=1e-12)
         assert bd.a3_form == "smooth"
 
@@ -237,13 +231,26 @@ class TestSignStructure:
     def test_sp_fields_signs(self, grid32, ws32, rng):
         u = ComplexField(grid32, smooth_random_complex(grid32, rng))
         prof = GaussianProfile(0.5, 1.0)
-        s1 = solve_S1(u, ws32)
+        s1 = Evaluation(u.values, ws32).s1
         s2 = compute_S2(prof, ws32)
-        assert s1.values.min() > -1e-12
+        assert s1.min() > -1e-12
         assert s2.values.max() <= 1e-14
         # by linearity S1 + S2 is the potential of (|u|^2 - rho) / 2
-        src = 0.5 * (u.abs_sq().values - sample_rho(prof, grid32).values)
-        assert np.allclose(ws32.coulomb(src), s1.values + s2.values)
+        src = 0.5 * (np.abs(u.values) ** 2 - sample_rho(prof, grid32).values)
+        assert np.allclose(ws32.coulomb(src), s1 + s2.values)
+
+
+class TestGridCheck:
+    def test_grid_mismatch_rejected(self):
+        # A state sampled on an 8-box handed to a 16-box workspace would be
+        # read with the workspace's spacing: its mass as 44.55, not pi^1.5.
+        u = gaussian_state(Grid3(16, 8.0))
+        ws = SpectralWorkspace(Grid3(16, 16.0))
+        params = PhysParams(2.2, 1.0)
+        with pytest.raises(GridMismatchError):
+            energy_breakdown(u, ZeroProfile(), params, ws)
+        with pytest.raises(GridMismatchError):
+            grad_E(u, ZeroProfile(), params, ws)
 
 
 class TestGradE:
@@ -265,7 +272,7 @@ class TestGradE:
         for _ in range(5):
             phi = smooth_random_complex(grid32, rng)
             directional = (energy_of(u.values + t * phi) - energy_of(u.values - t * phi)) / (2.0 * t)
-            pairing = inner(g, ComplexField(grid32, phi)).real
+            pairing = (np.vdot(g.values, phi) * grid32.cell_volume).real
             assert directional == pytest.approx(pairing, rel=1e-6)
 
 
@@ -277,7 +284,7 @@ class TestLagrangeMultiplier:
         bd = energy_breakdown(u, prof, params, ws32)
         omega = lagrange_multiplier(bd)
         g = grad_E(u, prof, params, ws32)
-        proj = -inner(g, u).real / bd.mass
+        proj = -(np.vdot(g.values, u.values) * grid32.cell_volume).real / bd.mass
         assert omega == pytest.approx(proj, rel=1e-8)
 
     def test_zero_mass_rejected(self, grid32, ws32):
@@ -343,12 +350,11 @@ class TestEstimateBattery:
         # A1 <= C m^{3/2} g   and |A2| <= C |rho|_{6/5} m^{3/4} g^{1/2}
         # with m = |u|_2^2, g = |grad u|_2; one constant calibrated on a
         # separate batch, asserted with margin on a fresh batch.
-        from spwaves.grid import grad_norm_sq, lp_norm
         from spwaves.profiles import rho_norms
 
         params = PhysParams(2.2, 1.0)
         prof = GaussianProfile(0.5, 1.0)
-        rho_norm = rho_norms(prof, grid24.n and grid24)[0]
+        rho_norm = rho_norms(prof, grid24)[0]
 
         def ratios(batch_rng):
             out = []
@@ -404,9 +410,8 @@ class TestBrezisLiebSplitting:
             both = ComplexField(grid64, u_vals + v_vals)
             a1 = lambda w: energy_breakdown(w, ZeroProfile(), params, ws64).a1
             ex = a1(both) - a1(u) - a1(v)
-            cross = 0.5 * integrate(
-                RealField(grid64, solve_S1(u, ws64).values * v.abs_sq().values)
-            )
+            s1_u = Evaluation(u.values, ws64).s1
+            cross = 0.5 * float(np.sum(s1_u * np.abs(v.values) ** 2)) * grid64.cell_volume
             assert ex == pytest.approx(cross, rel=1e-6)
             excess.append(ex)
         # 1/distance decay: ratio of excesses approx gap2/gap1

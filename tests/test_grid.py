@@ -1,4 +1,4 @@
-"""Fields module: quadrature, spectral operators, free-space Coulomb solve.
+"""Grid module: quadrature, spectral operators, free-space Coulomb solve.
 
 Expected values are closed forms (Gaussian moments, erf potential, plane
 waves) or brute-force oracles (direct kernel summation).
@@ -6,29 +6,22 @@ waves) or brute-force oracles (direct kernel summation).
 
 import os
 import tracemalloc
-import warnings
 
 import numpy as np
 import pytest
 import scipy.fft as sfft
 from scipy.special import erf
 
+from spwaves.energy import Evaluation
 from spwaves.grid import (
-    BoundaryLeakWarning,
     ComplexField,
     Grid3,
-    GridMismatchError,
     RealField,
     SpectralWorkspace,
     _kernel_build_bytes,
     _unit_kernel_hat,
     boundary_mass_fraction,
     coulomb_kernel_spectrum,
-    coulomb_solve,
-    grad_norm_sq,
-    integrate,
-    inner,
-    laplacian,
     lp_norm,
 )
 
@@ -39,10 +32,12 @@ def gaussian(grid, width=1.0):
     return np.exp(-grid.radius_sq() / (2.0 * width**2))
 
 
-def dense_kernel_hat(grid, radius):
-    """The kernel build on the full (4N)^3 grid: render the truncated kernel
-    with one irfftn, keep its values on [-L, L)^3, transform back."""
+def dense_kernel_hat(grid):
+    """The kernel build on the full (4N)^3 grid: render the kernel truncated
+    at sqrt(3) L with one irfftn, keep its values on [-L, L)^3, transform
+    back."""
     n, h = grid.n, grid.spacing
+    radius = np.sqrt(3.0) * grid.length
     n4 = 4 * n
     k1 = 2.0 * np.pi * sfft.fftfreq(n4, d=h)
     kr = 2.0 * np.pi * sfft.rfftfreq(n4, d=h)
@@ -89,37 +84,6 @@ class TestFields:
         with pytest.raises(ValueError):
             ComplexField(grid32, vals.astype(complex))
 
-    def test_abs_sq(self, grid32, rng):
-        v = rng.standard_normal((32,) * 3) + 1j * rng.standard_normal((32,) * 3)
-        u = ComplexField(grid32, v)
-        assert np.allclose(u.abs_sq().values, np.abs(v) ** 2)
-
-
-class TestIntegrate:
-    def test_zero_field(self, grid32):
-        assert integrate(RealField(grid32, np.zeros((32,) * 3))) == 0.0
-
-    def test_gaussian_integral(self, grid64):
-        # integral of exp(-|x|^2 / 2) over R^3 is (2 pi)^{3/2}... with this
-        # width convention exp(-r^2/2): integral = pi^{3/2} * 2^{3/2}; use
-        # exp(-r^2) whose integral is pi^{3/2}.
-        f = RealField(grid64, np.exp(-grid64.radius_sq()))
-        exact = np.pi**1.5
-        assert abs(integrate(f) - exact) / exact < 1e-10
-
-    def test_unit_ball_volume_first_order(self, grid64):
-        ball = (grid64.radius_sq() <= 1.0).astype(float)
-        f = RealField(grid64, ball)
-        exact = 4.0 * np.pi / 3.0
-        assert abs(integrate(f) - exact) / exact < 0.05
-
-    def test_linearity(self, grid32, rng):
-        a = rng.standard_normal((32,) * 3)
-        b = rng.standard_normal((32,) * 3)
-        lhs = integrate(RealField(grid32, 2.0 * a + 3.0 * b))
-        rhs = 2.0 * integrate(RealField(grid32, a)) + 3.0 * integrate(RealField(grid32, b))
-        assert abs(lhs - rhs) < 1e-9 * (1.0 + abs(rhs))
-
 
 class TestLpNorm:
     def test_constant_field(self, grid32):
@@ -141,83 +105,52 @@ class TestLpNorm:
             lp_norm(RealField(grid32, np.ones((32,) * 3)), 0.5)
 
 
-class TestLaplacian:
-    def test_constant_is_harmonic(self, grid32, ws32):
-        u = ComplexField(grid32, np.ones((32,) * 3, dtype=complex))
-        out = laplacian(u, ws32)
-        assert np.max(np.abs(out.values)) < 1e-12
-
-    def test_plane_wave_eigenfunction(self, grid32, ws32):
-        kvec = 2.0 * np.pi / grid32.length * np.array([3.0, -2.0, 1.0])
-        x, y, z = grid32.coords()
-        wave = np.exp(1j * (kvec[0] * x + kvec[1] * y + kvec[2] * z))
-        out = laplacian(ComplexField(grid32, wave), ws32)
-        expected = -np.dot(kvec, kvec) * wave
-        assert np.max(np.abs(out.values - expected)) < 1e-12 * np.dot(kvec, kvec)
-
-    def test_gaussian_closed_form(self, grid64, ws64):
-        g = gaussian(grid64)
-        out = laplacian(ComplexField(grid64, g.astype(complex)), ws64)
-        expected = (grid64.radius_sq() - 3.0) * g
-        scale = np.max(np.abs(expected))
-        assert np.max(np.abs(out.values - expected)) / scale < 1e-8
-
-    def test_grid_mismatch_rejected(self, grid32, ws64):
-        u = ComplexField(grid32, np.zeros((32,) * 3, dtype=complex))
-        with pytest.raises(GridMismatchError):
-            laplacian(u, ws64)
-
-
 class TestGradNormSq:
-    def test_constant(self, grid32, ws32):
-        u = ComplexField(grid32, np.ones((32,) * 3, dtype=complex))
-        assert grad_norm_sq(u, ws32) < 1e-12
+    def test_constant(self, ws32):
+        assert Evaluation(np.ones((32,) * 3, dtype=complex), ws32).grad_sq < 1e-12
 
     def test_plane_wave_parseval(self, grid32, ws32):
         kvec = 2.0 * np.pi / grid32.length * np.array([2.0, 0.0, -3.0])
         x, y, z = grid32.coords()
         wave = np.exp(1j * (kvec[0] * x + kvec[1] * y + kvec[2] * z))
-        got = grad_norm_sq(ComplexField(grid32, wave), ws32)
+        got = Evaluation(wave, ws32).grad_sq
         expected = np.dot(kvec, kvec) * grid32.volume
         assert abs(got - expected) / expected < 1e-12
 
     def test_gaussian_moment(self, grid64, ws64):
-        u = ComplexField(grid64, gaussian(grid64).astype(complex))
         exact = 1.5 * np.pi**1.5
-        assert abs(grad_norm_sq(u, ws64) - exact) / exact < 1e-10
+        assert abs(Evaluation(gaussian(grid64).astype(complex), ws64).grad_sq - exact) / exact < 1e-10
 
     def test_matches_explicit_gradient(self, grid32, ws32, rng):
-        u = ComplexField(grid32, smooth_random_complex(grid32, rng))
-        via_parseval = grad_norm_sq(u, ws32)
-        uhat = ws32.fft(u.values)
+        u = smooth_random_complex(grid32, rng)
+        via_parseval = Evaluation(u, ws32).grad_sq
+        uhat = ws32.fft(u)
         k1 = grid32.wavenumbers()
         parts = [ws32.ifft(1j * k1.reshape(s) * uhat) for s in [(-1, 1, 1), (1, -1, 1), (1, 1, -1)]]
-        via_fields = sum(integrate(ComplexField(grid32, p).abs_sq()) for p in parts)
+        via_fields = sum(np.sum(p.real**2 + p.imag**2) * grid32.cell_volume for p in parts)
         assert abs(via_parseval - via_fields) / via_fields < 1e-10
 
 
 class TestCoulombSolve:
-    def test_zero_source(self, grid32, ws32):
-        out = coulomb_solve(RealField(grid32, np.zeros((32,) * 3)), ws32)
-        assert np.max(np.abs(out.values)) < 1e-14
+    def test_zero_source(self, ws32):
+        assert np.max(np.abs(ws32.coulomb(np.zeros((32,) * 3)))) < 1e-14
 
     def test_gaussian_erf_profile(self, grid64, ws64):
         # f = |g|^2/2 for g = exp(-r^2/2): potential is (sqrt(pi)/8) erf(r)/r.
         r = np.sqrt(grid64.radius_sq())
-        f = RealField(grid64, np.exp(-(r**2)) / 2.0)
-        v = coulomb_solve(f, ws64)
+        v = ws64.coulomb(np.exp(-(r**2)) / 2.0)
         with np.errstate(invalid="ignore"):
             exact = (np.sqrt(np.pi) / 8.0) * erf(r) / np.where(r == 0.0, 1.0, r)
         exact[r == 0.0] = 0.25
-        rel = np.abs(v.values - exact) / np.abs(exact)
-        assert v.values[r == 0.0][0] == pytest.approx(0.25, abs=1e-9)
+        rel = np.abs(v - exact) / np.abs(exact)
+        assert v[r == 0.0][0] == pytest.approx(0.25, abs=1e-9)
         assert np.max(rel) < 1e-6
 
     def test_uniform_ball_center(self, grid64, ws64):
         ball = (grid64.radius_sq() <= 1.0).astype(float)
-        v = coulomb_solve(RealField(grid64, -0.5 * ball), ws64)
+        v = ws64.coulomb(-0.5 * ball)
         r = np.sqrt(grid64.radius_sq())
-        assert v.values[r == 0.0][0] == pytest.approx(-0.25, rel=0.05)
+        assert v[r == 0.0][0] == pytest.approx(-0.25, rel=0.05)
 
     def test_direct_sum_cross_check(self):
         from oracles import direct_coulomb_sum
@@ -225,9 +158,7 @@ class TestCoulombSolve:
         grid = Grid3(12, 12.0)
         ws = SpectralWorkspace(grid)
         f = np.exp(-grid.radius_sq() / (2.0 * 2.2**2))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", BoundaryLeakWarning)
-            v_fft = coulomb_solve(RealField(grid, f), ws).values
+        v_fft = ws.coulomb(f)
         v_direct = direct_coulomb_sum(grid, f)
         scale = np.max(np.abs(v_direct))
         assert np.max(np.abs(v_fft - v_direct)) / scale < 1e-3
@@ -235,16 +166,15 @@ class TestCoulombSolve:
     def test_self_adjoint(self, grid32, ws32, rng):
         a = smooth_random_complex(grid32, rng).real
         b = smooth_random_complex(grid32, rng).real
-        fa, fb = RealField(grid32, a), RealField(grid32, b)
-        lhs = inner(coulomb_solve(fa, ws32), fb).real
-        rhs = inner(fa, coulomb_solve(fb, ws32)).real
+        dv = grid32.cell_volume
+        lhs = (np.vdot(ws32.coulomb(a), b) * dv).real
+        rhs = (np.vdot(a, ws32.coulomb(b)) * dv).real
         assert abs(lhs - rhs) / abs(lhs) < 1e-10
 
     def test_positivity_random_fields(self, grid24, ws24, rng):
         for _ in range(20):
-            f = RealField(grid24, rng.standard_normal((24,) * 3))
-            v = coulomb_solve(f, ws24)
-            assert inner(v, f).real >= -1e-12
+            f = rng.standard_normal((24,) * 3)
+            assert (np.vdot(ws24.coulomb(f), f) * grid24.cell_volume).real >= -1e-12
 
     @pytest.mark.parametrize("ws_name", ["ws24", "ws32"])
     def test_pruned_transforms_equal_dense_padded_solve(self, ws_name, request, rng):
@@ -268,18 +198,14 @@ class TestCoulombSolve:
         pad = np.zeros((2 * n,) * 3)
         pad[:n, :n, :n] = f
         v_pad = sfft.irfftn(sfft.rfftn(pad) * ws64.kernel_hat, s=pad.shape)
-        gpad = Grid3(2 * n, 2.0 * grid64.length)
-        res = laplacian(ComplexField(gpad, -v_pad.astype(complex)), SpectralWorkspace(gpad))
+        k2_pad = Grid3(2 * n, 2.0 * grid64.length).wavenumber_sq()
+        res = sfft.ifftn(k2_pad * sfft.fftn(v_pad)).real
         m = 2
-        err = np.abs(res.values.real[m : n - m, m : n - m, m : n - m] - f[m : n - m, m : n - m, m : n - m])
+        err = np.abs(res[m : n - m, m : n - m, m : n - m] - f[m : n - m, m : n - m, m : n - m])
         assert np.max(err) / np.max(np.abs(f)) < 1e-6
 
-    def test_boundary_leak_warning(self, grid32, ws32):
-        with pytest.warns(BoundaryLeakWarning):
-            coulomb_solve(RealField(grid32, np.ones((32,) * 3)), ws32)
-
     def test_kernel_spectrum_values(self, ws32):
-        t = ws32.truncation_radius
+        t = np.sqrt(3.0) * ws32.grid.length
         assert coulomb_kernel_spectrum(np.array(0.0), t) == t**2 / 2.0
         k = np.linspace(0.0, 40.0, 1000)
         assert np.all(coulomb_kernel_spectrum(k, t) >= 0.0)
@@ -288,32 +214,30 @@ class TestCoulombSolve:
     def test_translation_covariance(self, grid32, ws32):
         g = gaussian(grid32)
         shift = (3, -5, 2)
-        f0 = RealField(grid32, g)
-        fs = RealField(grid32, np.roll(g, shift, axis=(0, 1, 2)))
-        v0 = coulomb_solve(f0, ws32)
-        vs = coulomb_solve(fs, ws32)
-        rolled = np.roll(v0.values, shift, axis=(0, 1, 2))
+        v0 = ws32.coulomb(g)
+        vs = ws32.coulomb(np.roll(g, shift, axis=(0, 1, 2)))
+        rolled = np.roll(v0, shift, axis=(0, 1, 2))
         # Exact only where the rolled potential does not wrap mass across
         # the boundary; the Gaussian is centred so interior nodes are clean.
         n = grid32.n
         sl = slice(n // 4, 3 * n // 4)
-        err = np.abs(vs.values[sl, sl, sl] - rolled[sl, sl, sl])
-        assert np.max(err) < 1e-4 * np.max(np.abs(v0.values))
+        err = np.abs(vs[sl, sl, sl] - rolled[sl, sl, sl])
+        assert np.max(err) < 1e-4 * np.max(np.abs(v0))
 
 
 class TestKernel:
     @pytest.mark.parametrize("n", [16, 24, 32])
     def test_pruned_build_equals_dense_build(self, n):
-        assert np.array_equal(_unit_kernel_hat(n), dense_kernel_hat(Grid3(n, 1.0), np.sqrt(3.0)))
+        assert np.array_equal(_unit_kernel_hat(n), dense_kernel_hat(Grid3(n, 1.0)))
 
     @pytest.mark.parametrize("length", [8.0, 16.0])
     def test_scaled_kernel_equals_dense_build_on_power_of_two_boxes(self, length):
         ws = SpectralWorkspace(Grid3(32, length))
-        assert np.array_equal(ws.kernel_hat, dense_kernel_hat(ws.grid, ws.truncation_radius))
+        assert np.array_equal(ws.kernel_hat, dense_kernel_hat(ws.grid))
 
     def test_scaled_kernel_matches_dense_build(self):
         ws = SpectralWorkspace(Grid3(32, 12.0))
-        dense = dense_kernel_hat(ws.grid, ws.truncation_radius)
+        dense = dense_kernel_hat(ws.grid)
         assert np.max(np.abs(ws.kernel_hat - dense)) <= 1e-15 * np.max(dense)
 
     def test_one_build_per_grid_size(self):

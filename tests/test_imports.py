@@ -1,5 +1,6 @@
-"""Package structure: every relative import names a module that exists, and a
-re-imported package is freed."""
+"""Package structure: every relative import names a module that exists, every
+exported name is defined where it is exported, no module imports another's
+private name, and a re-imported package is freed."""
 
 import ast
 import os
@@ -12,17 +13,45 @@ import spwaves.grid
 PACKAGE = Path(spwaves.grid.__file__).parent
 
 
-def test_relative_imports_name_existing_modules():
+def parsed_sources():
     sources = sorted(PACKAGE.glob("*.py"))
     assert sources
-    for path in sources:
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+    return [(path, ast.parse(path.read_text(), filename=str(path))) for path in sources]
+
+
+def test_relative_imports_name_existing_modules():
+    for path, tree in parsed_sources():
+        for node in ast.walk(tree):
             if not (isinstance(node, ast.ImportFrom) and node.level == 1):
                 continue
             names = [node.module] if node.module else [alias.name for alias in node.names]
             for name in names:
                 target = PACKAGE / (name.split(".")[0] + ".py")
                 assert target.is_file(), f"{path.name}:{node.lineno} imports missing module .{name}"
+
+
+def test_exported_names_are_defined_in_their_module():
+    for path, tree in parsed_sources():
+        defined, exported = set(), []
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = {t.id for t in targets if isinstance(t, ast.Name)}
+                defined |= names
+                if "__all__" in names:
+                    exported = ast.literal_eval(node.value)
+        missing = [name for name in exported if name not in defined]
+        assert not missing, f"{path.name} exports names it does not define: {missing}"
+
+
+def test_no_module_imports_a_private_name():
+    for path, tree in parsed_sources():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                private = [alias.name for alias in node.names if alias.name.startswith("_")]
+                assert not private, f"{path.name}:{node.lineno} imports private {private}"
 
 
 REIMPORT = """

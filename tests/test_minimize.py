@@ -9,7 +9,7 @@ import pytest
 
 from spwaves import minimize
 from spwaves.energy import PhysParams, energy_breakdown, grad_E, profile_fields
-from spwaves.grid import ComplexField, Grid3, SpectralWorkspace
+from spwaves.grid import ComplexField, Grid3, GridMismatchError, SpectralWorkspace
 from spwaves.minimize import (
     BracketError,
     HomogeneityPoint,
@@ -54,6 +54,13 @@ def test_init_field_is_the_start_of_a_zero_iteration_flow(grid32, ws32, rng):
     # u_min = c f for one complex c: f up to its phase and mass
     c = np.vdot(f.values, res.u_min.values) / np.vdot(f.values, f.values)
     assert np.allclose(res.u_min.values, c * f.values, rtol=0.0, atol=1e-12 * np.max(np.abs(res.u_min.values)))
+
+
+def test_init_field_on_another_grid_is_rejected(grid24, ws32):
+    f = ComplexField(grid24, _gaussian_trial(grid24, 1.0, 1.0))
+    config = MinimizeConfig(init_field=f, n_restarts=1, max_iters=0)
+    with pytest.raises(GridMismatchError):
+        minimize_at_mass(1.0, ZeroProfile(), PhysParams(2.1, 0.3), config, ws32)
 
 
 class _Calls:
