@@ -61,6 +61,8 @@ BACKTRACK_MAX = 40
 STALL_ITERS = 100
 # Shift alpha of the spectral floor's preconditioner (alpha - Delta)^-1.
 FLOOR_SHIFT = 0.05
+# Widths of the cold starts, as multiples of the width scan's best width.
+START_WIDTHS = (1.0, 0.6, 1.7, 0.35, 2.8)
 
 
 class NumericalAbort(RuntimeError):
@@ -73,18 +75,21 @@ class BracketError(ValueError):
 
 @dataclass(frozen=True)
 class MinimizeConfig:
-    """Knobs of the normalized gradient flow."""
+    """Knobs of the normalized gradient flow.  A cold start runs one flow from
+    a real Gaussian of each of the first n_restarts START_WIDTHS and keeps the
+    lowest energy; a warm start (init_field) runs one flow whatever n_restarts says."""
 
     max_iters: int = 4000
     grad_tol: float = 1e-7  # on |grad E + omega u|_2 / |u|_{H^1}
     energy_tol: float = 1e-9  # stall detection scale; eps_neg = 10x this
     init_field: ComplexField | None = None  # warm start: one flow from this state
-    seed: int = 0
     n_restarts: int = 3
 
     def __post_init__(self):
-        if self.grad_tol <= 0.0 or self.energy_tol <= 0.0:
-            raise ValueError("tolerances must be positive")
+        if not all(t > 0.0 and np.isfinite(t) for t in (self.grad_tol, self.energy_tol)):
+            raise ValueError("tolerances must be positive and finite")
+        if self.n_restarts not in range(1, len(START_WIDTHS) + 1):
+            raise ValueError(f"n_restarts must lie in 1..{len(START_WIDTHS)}, got {self.n_restarts}")
 
     @property
     def eps_neg(self) -> float:
@@ -94,6 +99,8 @@ class MinimizeConfig:
 
 @dataclass(frozen=True)
 class MinimizerResult:
+    """A cold-start u_min is real up to roundoff; a warm start keeps init_field's phase."""
+
     u_min: ComplexField
     breakdown: EnergyBreakdown
     omega: float
@@ -219,8 +226,7 @@ def _gaussian_trial(grid: Grid3, width: float, mu: float) -> np.ndarray:
 
 
 def _initial_states(mu: float, objective: _Objective, config: MinimizeConfig) -> list[np.ndarray]:
-    ws = objective.ws
-    grid = ws.grid
+    grid = objective.ws.grid
     if config.init_field is not None:
         grid.require_same(config.init_field.grid)
         return [config.init_field.values.copy()]
@@ -229,25 +235,7 @@ def _initial_states(mu: float, objective: _Objective, config: MinimizeConfig) ->
     widths = np.geomspace(3.0 * grid.spacing, grid.length / 5.0, 10)
     energies = [objective(_gaussian_trial(grid, w, mu), need_grad=False)[0] for w in widths]
     best_width = float(widths[int(np.argmin(energies))])
-    factors = [1.0, 0.6, 1.7, 0.35, 2.8]
-    rng = np.random.default_rng(config.seed)
-    states = []
-    for k in range(max(1, config.n_restarts)):
-        w = best_width * factors[k % len(factors)]
-        vals = _gaussian_trial(grid, w, mu)
-        if k > 0:
-            noise = rng.standard_normal(vals.shape) + 1j * rng.standard_normal(vals.shape)
-            noise = ws.ifft(ws.fft(noise) * np.exp(-ws.k2))
-            vals = vals + 0.02 * np.max(np.abs(vals)) * noise
-        states.append(vals)
-    return states
-
-
-def _fix_global_phase(vals: np.ndarray) -> np.ndarray:
-    total = np.sum(vals)
-    if abs(total) > 0.0:
-        vals = vals * np.exp(-1j * np.angle(total))
-    return vals
+    return [_gaussian_trial(grid, best_width * f, mu) for f in START_WIDTHS[: config.n_restarts]]
 
 
 def minimize_at_mass(
@@ -262,8 +250,8 @@ def minimize_at_mass(
     Non-convergence is reported through the flag, never raised; a NaN in
     the energy aborts with NumericalAbort.
     """
-    if mu <= 0.0:
-        raise ValueError("mass must be positive")
+    if not (mu > 0.0 and np.isfinite(mu)):
+        raise ValueError(f"mass must be positive and finite, got {mu}")
     objective = _Objective(profile, params, ws)
     states = _initial_states(mu, objective, config)
 
@@ -273,8 +261,7 @@ def minimize_at_mass(
         if best is None or state.energy < best.energy:
             best = state
 
-    vals = _fix_global_phase(_rescale_mass(best.vals, mu, ws.grid.cell_volume))
-    u = ComplexField(ws.grid, vals)
+    u = ComplexField(ws.grid, best.vals)
     bd = energy_breakdown(u, profile, params, ws)
     omega = lagrange_multiplier(bd)
     residuals = {
@@ -324,8 +311,8 @@ def c_curve(
     """Sweep c(mu) over ascending masses, warm-starting from the previous
     minimizer rescaled; failures flag the row instead of aborting the sweep."""
     mus = [float(m) for m in mu_list]
-    if any(m <= 0.0 for m in mus):
-        raise ValueError("masses must be positive")
+    if not all(m > 0.0 and np.isfinite(m) for m in mus):
+        raise ValueError(f"masses must be positive and finite, got {mus}")
     if sorted(mus) != mus:
         raise ValueError("mass list must be sorted ascending")
 
@@ -386,8 +373,8 @@ def mu_star(
     """
     params.warn_outside_regime("mu_star")
     lo, hi = float(bracket[0]), float(bracket[1])
-    if not (0.0 < lo < hi):
-        raise BracketError(f"bracket must satisfy 0 < low < high, got ({lo}, {hi})")
+    if not (0.0 < lo < hi < np.inf):
+        raise BracketError(f"bracket must satisfy 0 < low < high < inf, got ({lo}, {hi})")
     if not (tol > 0.0 and np.isfinite(tol)):
         raise ValueError(f"tol must be positive and finite, got {tol}")
     zero = ZeroProfile()
@@ -460,8 +447,8 @@ def subadditivity_scan(
     Each (mass, profile) is minimized once per scan (c(2 s) is c(mu)); none
     warm-starts from another, so a reused value equals a recomputed one."""
     params.warn_outside_regime("subadditivity_scan")
-    if mu <= 0.0:
-        raise ValueError("mass must be positive")
+    if not (mu > 0.0 and np.isfinite(mu)):
+        raise ValueError(f"mass must be positive and finite, got {mu}")
     fractions = [float(f) for f in split_fractions]
     if any(not (0.0 < f < 1.0) for f in fractions):
         raise ValueError("split fractions must lie in (0, 1)")

@@ -1,6 +1,7 @@
-"""Minimize module: the flow objective, the warm start, evaluation reuse in
-the flow, the sweeps' and the mu* bisection's bookkeeping around
-minimize_at_mass, and the spectral floor against a dense eigensolver."""
+"""Minimize module: the flow objective, the cold and warm starts, evaluation
+reuse in the flow, input checks, the sweeps' and the mu* bisection's
+bookkeeping around minimize_at_mass, and the spectral floor against a dense
+eigensolver."""
 
 from types import SimpleNamespace
 
@@ -18,6 +19,7 @@ from spwaves.minimize import (
     SplitPoint,
     SubadditivityReport,
     _gaussian_trial,
+    _initial_states,
     _normalized_flow,
     _Objective,
     c_curve,
@@ -42,6 +44,39 @@ def test_objective_matches_breakdown_and_gradient(grid32, ws32, rng):
     assert np.max(np.abs(grad - ref)) <= 1e-14 * np.max(np.abs(ref))
     energy_only, no_grad, _ = _Objective(prof, params, ws32)(u.values, need_grad=False)
     assert energy_only == energy and no_grad is None
+
+
+def test_cold_starts_are_real_gaussians_of_the_start_widths():
+    grid = Grid3(16, 8.0)
+    objective = _Objective(GaussianProfile(1.0, 1.0), PhysParams(2.1, 0.3), SpectralWorkspace(grid))
+    mu = 100.0
+    widths = np.geomspace(3.0 * grid.spacing, grid.length / 5.0, 10)
+    best = min(widths, key=lambda w: objective(_gaussian_trial(grid, w, mu), need_grad=False)[0])
+    states = _initial_states(mu, objective, MinimizeConfig(n_restarts=3))
+    assert len(states) == 3
+    for vals, factor in zip(states, (1.0, 0.6, 1.7)):
+        assert not np.any(vals.imag)
+        assert np.array_equal(vals, _gaussian_trial(grid, float(best) * factor, mu))
+
+
+@pytest.mark.parametrize("n_restarts", [0, -1, 6, 2.5])
+def test_n_restarts_outside_the_start_widths_is_rejected(n_restarts):
+    with pytest.raises(ValueError, match="n_restarts"):
+        MinimizeConfig(n_restarts=n_restarts)
+
+
+@pytest.mark.parametrize("name", ["grad_tol", "energy_tol"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_tolerance_that_is_not_finite_is_rejected(name, value):
+    with pytest.raises(ValueError, match="positive and finite"):
+        MinimizeConfig(**{name: value})
+
+
+def test_cold_restarts_are_deterministic():
+    ws = SpectralWorkspace(Grid3(16, 8.0))
+    config = MinimizeConfig(n_restarts=3, max_iters=20)
+    runs = [minimize_at_mass(100.0, GaussianProfile(1.0, 1.0), PhysParams(2.1, 0.3), config, ws) for _ in range(2)]
+    assert np.array_equal(runs[0].u_min.values, runs[1].u_min.values)
 
 
 def test_init_field_is_the_start_of_a_zero_iteration_flow(grid32, ws32, rng):
@@ -129,6 +164,54 @@ def test_c_curve_restarts_cold_after_an_abort(grid24, monkeypatch):
     assert [p.c for p in table.points][::2] == [-1.0, -3.0] and np.isnan(table.points[1].c)
 
 
+def _fake_curve(monkeypatch, c_values):
+    """Replaces minimize_at_mass by one that returns the next of c_values,
+    or raises NumericalAbort where that value is None."""
+    values = iter(c_values)
+
+    def fake_minimize(mu, profile, params, cfg, ws):
+        c = next(values)
+        if c is None:
+            raise NumericalAbort("injected")
+        residuals = dict(nehari=0.0, pohozaev=0.0, lemma23=0.0, gradient=0.0)
+        u_min = ComplexField(ws.grid, np.ones(ws.k2.shape, dtype=complex))
+        return SimpleNamespace(u_min=u_min, c_value=c, omega=1.0, residuals=residuals, iterations=1, converged=True)
+
+    monkeypatch.setattr(minimize, "minimize_at_mass", fake_minimize)
+
+
+@pytest.mark.parametrize(
+    "c_values, nonincreasing",
+    [
+        ((-1.0, -1.0 + 3e-9), False),  # a rise of 3 energy_tol
+        ((-1.0, -1.0 + 1e-9), True),  # a rise of 1 energy_tol
+        ((-1.0, None, -2.0), True),  # the aborted row is skipped
+        ((-1.0, None, -1.0 + 3e-9), False),  # and does not hide a rise across it
+    ],
+)
+def test_c_curve_nonincreasing_allows_twice_energy_tol(c_values, nonincreasing, ws24, monkeypatch):
+    _fake_curve(monkeypatch, c_values)
+    config = MinimizeConfig(energy_tol=1e-9)
+    mus = [float(k) for k in range(1, len(c_values) + 1)]
+    table = c_curve(mus, ZeroProfile(), PhysParams(2.1, 0.3), config, ws24)
+    assert [np.isnan(p.c) for p in table.points] == [c is None for c in c_values]
+    assert table.nonincreasing is nonincreasing
+
+
+@pytest.mark.parametrize("mu", [float("nan"), float("inf")])
+def test_mass_that_is_not_finite_is_rejected_before_solving(mu, ws24, monkeypatch):
+    prof, params, config = GaussianProfile(1.0, 1.0), PhysParams(2.1, 0.3), MinimizeConfig()
+    with pytest.raises(ValueError, match="positive and finite"):
+        minimize_at_mass(mu, prof, params, config, ws24)
+    calls = []
+    monkeypatch.setattr(minimize, "minimize_at_mass", lambda *args: calls.append(args))
+    with pytest.raises(ValueError, match="positive and finite"):
+        c_curve([mu], prof, params, config, ws24)
+    with pytest.raises(ValueError, match="positive and finite"):
+        subadditivity_scan(mu, (0.5,), prof, params, config, ws24)
+    assert calls == []
+
+
 def test_subadditivity_scan_minimizes_each_mass_once(grid24, monkeypatch):
     def c_of(mu, profile):
         return -(mu**1.5) - (0.0 if isinstance(profile, ZeroProfile) else 0.1 * mu)
@@ -167,7 +250,7 @@ def _fake_c_inf(monkeypatch, threshold):
     return calls
 
 
-@pytest.mark.parametrize("bracket", [(0.0, 1.0), (-1.0, 1.0), (2.0, 1.0), (1.0, 1.0)])
+@pytest.mark.parametrize("bracket", [(0.0, 1.0), (-1.0, 1.0), (2.0, 1.0), (1.0, 1.0), (1.0, float("inf"))])
 def test_mu_star_rejects_a_disordered_bracket_before_minimizing(bracket, ws24, monkeypatch):
     calls = _fake_c_inf(monkeypatch, 5.0)
     with pytest.raises(BracketError, match="0 < low < high"):
