@@ -9,11 +9,14 @@ with the nonlocal pieces built from the Newtonian potentials
 S1(u) = (-Delta)^{-1}(|u|^2/2) and S2 = (-Delta)^{-1}(-rho/2):
 
     A1 = 1/4 int S1(u) |u|^2      (self-repulsion, >= 0)
-    A2 = -1/4 int S1(u) rho       (= 1/4 int S2 |u|^2 by symmetry, <= 0)
+    A2 = 1/4 int S2 |u|^2         (= -1/4 int S1(u) rho by symmetry, <= 0)
     A0 = -1/4 int S2 rho          (state-independent)
     A3 = 1/2 int S1(u) x.grad rho (dilation term; boundary form for balls).
 
-The full energy is scriptE = E + e^2 A0.
+The full energy is scriptE = E + e^2 A0.  A2 is computed in its S2 form
+only.  The S1 form equals it because the Coulomb solve is symmetric,
+<coulomb(f), g> = <f, coulomb(g)>, which test_coulomb_solve_is_symmetric
+in tests/test_energy.py checks.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .grid import ComplexField, Grid3, RealField, SpectralWorkspace
+from .grid import ComplexField, Grid3, SpectralWorkspace
 from .profiles import (
     BallsProfile,
     DopingProfile,
@@ -73,8 +76,8 @@ class PhysParams:
     def __post_init__(self):
         if not (1.0 < self.p < 5.0):
             raise ValueError(f"p must lie in (1, 5), got {self.p}")
-        if self.e <= 0.0:
-            raise ValueError(f"coupling e must be positive, got {self.e}")
+        if not (0.0 < self.e < np.inf):
+            raise ValueError(f"coupling e must be positive and finite, got {self.e}")
 
     @property
     def in_theory_regime(self) -> bool:
@@ -92,10 +95,9 @@ class PhysParams:
 
 @dataclass(frozen=True)
 class ProfileFields:
-    """The state-independent fields of one profile on one grid: the rho
-    samples, S2 = (-Delta)^{-1}(-rho/2) and A0.  The arrays are read-only."""
+    """The state-independent fields of one profile on one grid:
+    S2 = (-Delta)^{-1}(-rho/2), read-only, and A0."""
 
-    rho: np.ndarray
     s2: np.ndarray
     a0: float
 
@@ -110,20 +112,21 @@ def profile_fields(profile: DopingProfile, ws: SpectralWorkspace) -> ProfileFiel
     per_ws = _PROFILE_FIELDS.setdefault(ws, {})
     fields = per_ws.get(profile)
     if fields is None:
-        rho = sample_rho(profile, ws.grid).values
+        rho = sample_rho(profile, ws.grid)
         if isinstance(profile, ZeroProfile):
             s2 = np.zeros_like(rho)
         else:
             s2 = ws.coulomb(-0.5 * rho)
-        rho.flags.writeable = s2.flags.writeable = False
+        s2.flags.writeable = False
         a0 = -0.25 * float(np.sum(s2 * rho)) * ws.grid.cell_volume
-        fields = per_ws[profile] = ProfileFields(rho, s2, a0)
+        fields = per_ws[profile] = ProfileFields(s2, a0)
     return fields
 
 
-def compute_S2(profile: DopingProfile, ws: SpectralWorkspace) -> RealField:
-    """S2 = (-Delta)^{-1}(-rho/2), cached per (profile, workspace)."""
-    return RealField(ws.grid, profile_fields(profile, ws).s2.copy())
+def compute_S2(profile: DopingProfile, ws: SpectralWorkspace) -> np.ndarray:
+    """S2 = (-Delta)^{-1}(-rho/2), cached per (profile, workspace); a
+    writable copy of the cached array."""
+    return profile_fields(profile, ws).s2.copy()
 
 
 def _abs_sq(values: np.ndarray) -> np.ndarray:
@@ -168,8 +171,7 @@ class EnergyBreakdown:
     power: float  # 1/(p+1) |u|_{p+1}^{p+1}
     a0: float
     a1: float
-    a2: float
-    a2prime: float
+    a2: float  # 1/4 int S2 |u|^2
     a3: float | None
     a3_form: str  # "smooth", "boundary", or "none"
     energy: float  # E
@@ -193,24 +195,22 @@ def energy_breakdown(
     params: PhysParams,
     ws: SpectralWorkspace,
 ) -> EnergyBreakdown:
-    """All energy components of u; E is the flow's objective, so it uses A2
-    in its S2 form (a2prime) and a2 = -1/4 int S1 rho is reported beside it.
-    A state on another grid than the workspace raises GridMismatchError."""
+    """All energy components of u, from the same terms as the flow's
+    objective E.  A state on another grid than the workspace raises
+    GridMismatchError."""
     grid = u.grid
     ws.grid.require_same(grid)
     fields = profile_fields(profile, ws)
     ev = Evaluation(u.values, ws)
-    energy, power, a2prime = ev.energy_terms(fields, params)
-    a2 = -0.25 * float(np.sum(ev.s1 * fields.rho)) * ev.dv
+    energy, power, a2 = ev.energy_terms(fields, params)
 
     if isinstance(profile, ZeroProfile):
         a3, a3_form = None, "none"
     elif isinstance(profile, BallsProfile):
-        a3 = a3_boundary(RealField(grid, ev.s1), profile.balls)
+        a3 = a3_boundary(ev.s1, grid, profile.balls)
         a3_form = "boundary"
     else:
-        xgr = sample_x_grad_rho(profile, grid).values
-        a3 = 0.5 * float(np.sum(ev.s1 * xgr)) * ev.dv
+        a3 = 0.5 * float(np.sum(ev.s1 * sample_x_grad_rho(profile, grid))) * ev.dv
         a3_form = "smooth"
 
     return EnergyBreakdown(
@@ -219,7 +219,6 @@ def energy_breakdown(
         a0=fields.a0,
         a1=ev.a1,
         a2=a2,
-        a2prime=a2prime,
         a3=a3,
         a3_form=a3_form,
         energy=energy,
@@ -355,9 +354,9 @@ class ScalingReport:
         raise KeyError(name)
 
 
-def _gaussian_state(grid: Grid3, amplitude: float, width: float) -> ComplexField:
+def _gaussian_state(grid: Grid3, amplitude: float, width: float) -> np.ndarray:
     vals = amplitude * np.exp(-grid.radius_sq() / (2.0 * width**2))
-    return ComplexField(grid, vals.astype(complex))
+    return vals.astype(complex)
 
 
 def scaling_check(
@@ -375,8 +374,10 @@ def scaling_check(
     exponents isolate the quadrature and Coulomb-solve accuracy.  Reported
     exponents: mass 2a-3b, kinetic 2a-b, A1 4a-5b, S1 at the origin 2a-2b.
     """
-    if width <= 0.0 or lam <= 0.0:
-        raise ValueError("width and lam must be positive")
+    if not (0.0 < width < np.inf and 0.0 < lam < np.inf):
+        raise ValueError(f"width and lam must be positive and finite, got {width} and {lam}")
+    if not np.all(np.isfinite((a, b, amplitude))):
+        raise ValueError(f"a, b and amplitude must be finite, got {a}, {b} and {amplitude}")
     grid = ws.grid
 
     base = _gaussian_state(grid, amplitude, width)
@@ -384,8 +385,8 @@ def scaling_check(
 
     origin = tuple(np.argmin(np.abs(grid.axis_coords())) for _ in range(3))
 
-    def measures(u: ComplexField) -> dict[str, float]:
-        ev = Evaluation(u.values, ws)
+    def measures(vals: np.ndarray) -> dict[str, float]:
+        ev = Evaluation(vals, ws)
         return {"mass": ev.mass, "kinetic": ev.grad_sq, "a1": ev.a1, "s1_origin": float(ev.s1[origin])}
 
     m0 = measures(base)

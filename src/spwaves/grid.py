@@ -1,7 +1,10 @@
-"""Uniform periodic grid, scalar fields, and the free-space Coulomb solve.
+"""Uniform periodic grid, the state type, and the free-space Coulomb solve.
 
 The computational domain is the cube [-L/2, L/2)^3 sampled at N points per
-axis.  Derivatives are Fourier multipliers on the workspace's ``k2`` table.
+axis.  A state is a ComplexField, the one validated wrapper: its samples
+have the grid's shape and are finite.  Real grid data (rho, x . grad rho,
+S1, S2, |u|^2) are plain float64 arrays of shape (N, N, N).  Derivatives
+are Fourier multipliers on the workspace's ``k2`` table.
 ``SpectralWorkspace.coulomb`` is the one Coulomb solve: it zero-pads the
 data to (2N)^3 and applies a truncated-kernel spectrum, so the result
 approximates the Newtonian potential of the data rather than its periodic
@@ -20,7 +23,6 @@ import scipy.fft as sfft
 
 __all__ = [
     "Grid3",
-    "RealField",
     "ComplexField",
     "SpectralWorkspace",
     "GridMismatchError",
@@ -92,40 +94,26 @@ class Grid3:
         if other != self:
             raise GridMismatchError(f"grid mismatch: {other} vs {self}")
 
-
-def _validate_values(grid: Grid3, values: np.ndarray, dtype) -> np.ndarray:
-    values = np.asarray(values, dtype=dtype)
-    shape = (grid.n,) * 3
-    if values.shape != shape:
-        raise ValueError(f"field shape {values.shape} does not match grid {shape}")
-    if not np.all(np.isfinite(values)):
-        raise ValueError("field contains non-finite entries")
-    return values
-
-
-@dataclass(frozen=True)
-class RealField:
-    """Real scalar samples on a Grid3 (|u|^2, rho, S1, S2 live here)."""
-
-    grid: Grid3
-    values: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", _validate_values(self.grid, self.values, np.float64))
+    def require_shape(self, values: np.ndarray) -> None:
+        """Raise ValueError unless values has this grid's shape (N, N, N)."""
+        shape = (self.n,) * 3
+        if np.shape(values) != shape:
+            raise ValueError(f"array shape {np.shape(values)} does not match grid {shape}")
 
 
 @dataclass(frozen=True)
 class ComplexField:
-    """Complex scalar samples on a Grid3 (states u, psi live here)."""
+    """A state: complex samples on a Grid3, of the grid's shape and finite."""
 
     grid: Grid3
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "values", _validate_values(self.grid, self.values, np.complex128))
-
-
-Field = RealField | ComplexField
+        values = np.asarray(self.values, dtype=np.complex128)
+        self.grid.require_shape(values)
+        if not np.all(np.isfinite(values)):
+            raise ValueError("field contains non-finite entries")
+        object.__setattr__(self, "values", values)
 
 
 def coulomb_kernel_spectrum(kmag: np.ndarray, radius: float) -> np.ndarray:
@@ -281,12 +269,13 @@ class SpectralWorkspace:
         return v[..., :n] * (1.0 / n2**3)
 
 
-def lp_norm(f: Field, p: float) -> float:
-    """(integral |f|^p)^{1/p}."""
-    if p < 1.0:
-        raise ValueError(f"lp_norm requires p >= 1, got {p}")
-    mag = np.abs(f.values)
-    return float((np.sum(mag**p) * f.grid.cell_volume) ** (1.0 / p))
+def lp_norm(values: np.ndarray, p: float, grid: Grid3) -> float:
+    """(integral |f|^p)^{1/p} for samples of f on grid."""
+    if not (1.0 <= p < np.inf):
+        raise ValueError(f"lp_norm requires a finite p >= 1, got {p}")
+    grid.require_shape(values)
+    mag = np.abs(values)
+    return float((np.sum(mag**p) * grid.cell_volume) ** (1.0 / p))
 
 
 def boundary_mass_fraction(values: np.ndarray) -> float:

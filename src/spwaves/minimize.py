@@ -18,7 +18,7 @@ eigensolver (LOBPCG), not from the flow.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -75,14 +75,14 @@ class BracketError(ValueError):
 
 @dataclass(frozen=True)
 class MinimizeConfig:
-    """Knobs of the normalized gradient flow.  A cold start runs one flow from
-    a real Gaussian of each of the first n_restarts START_WIDTHS and keeps the
-    lowest energy; a warm start (init_field) runs one flow whatever n_restarts says."""
+    """Settings of the normalized gradient flow.  A cold start runs one flow
+    from a real Gaussian of each of the first n_restarts START_WIDTHS and
+    keeps the lowest energy; a warm start (minimize_at_mass's start) runs
+    one flow whatever n_restarts says."""
 
     max_iters: int = 4000
     grad_tol: float = 1e-7  # on |grad E + omega u|_2 / |u|_{H^1}
     energy_tol: float = 1e-9  # stall detection scale; eps_neg = 10x this
-    init_field: ComplexField | None = None  # warm start: one flow from this state
     n_restarts: int = 3
 
     def __post_init__(self):
@@ -99,7 +99,7 @@ class MinimizeConfig:
 
 @dataclass(frozen=True)
 class MinimizerResult:
-    """A cold-start u_min is real up to roundoff; a warm start keeps init_field's phase."""
+    """A cold-start u_min is real up to roundoff; a warm start keeps its start's phase."""
 
     u_min: ComplexField
     breakdown: EnergyBreakdown
@@ -225,11 +225,13 @@ def _gaussian_trial(grid: Grid3, width: float, mu: float) -> np.ndarray:
     return vals * np.sqrt(mu / mass)
 
 
-def _initial_states(mu: float, objective: _Objective, config: MinimizeConfig) -> list[np.ndarray]:
+def _initial_states(
+    mu: float, objective: _Objective, config: MinimizeConfig, start: ComplexField | None
+) -> list[np.ndarray]:
     grid = objective.ws.grid
-    if config.init_field is not None:
-        grid.require_same(config.init_field.grid)
-        return [config.init_field.values.copy()]
+    if start is not None:
+        grid.require_same(start.grid)
+        return [start.values]
 
     # gaussian: of ten widths from 3h to L/5, the one with the lowest trial energy, then fan out
     widths = np.geomspace(3.0 * grid.spacing, grid.length / 5.0, 10)
@@ -244,16 +246,20 @@ def minimize_at_mass(
     params: PhysParams,
     config: MinimizeConfig,
     ws: SpectralWorkspace,
+    start: ComplexField | None = None,
 ) -> MinimizerResult:
     """Normalized-gradient-flow upper bound for c(mu), with diagnostics.
 
+    With start given, one flow runs from it, rescaled to mass mu (a warm
+    start); otherwise the cold starts of MinimizeConfig run.  A start on
+    another grid than the workspace raises GridMismatchError.
     Non-convergence is reported through the flag, never raised; a NaN in
     the energy aborts with NumericalAbort.
     """
     if not (mu > 0.0 and np.isfinite(mu)):
         raise ValueError(f"mass must be positive and finite, got {mu}")
     objective = _Objective(profile, params, ws)
-    states = _initial_states(mu, objective, config)
+    states = _initial_states(mu, objective, config, start)
 
     best: _FlowState | None = None
     for u0 in states:
@@ -319,9 +325,8 @@ def c_curve(
     points = []
     prev_field: ComplexField | None = None
     for m in mus:
-        cfg = config if prev_field is None else replace(config, init_field=prev_field, n_restarts=1)
         try:
-            res = minimize_at_mass(m, profile, params, cfg, ws)
+            res = minimize_at_mass(m, profile, params, config, ws, start=prev_field)
         except NumericalAbort:
             points.append(CurvePoint(m, np.nan, np.nan, np.nan, np.nan, np.nan, np.nan, 0, False))
             prev_field = None
@@ -568,8 +573,8 @@ def spectral_floor(
     doping well binds a state (floor stays negative) or not (floor drains to
     zero).
     """
-    if e <= 0.0:
-        raise ValueError("coupling must be positive")
+    if not (0.0 < e < np.inf):
+        raise ValueError(f"coupling must be positive and finite, got {e}")
     out = []
     for length in box_lengths:
         grid = Grid3(points_per_axis, float(length))

@@ -5,6 +5,7 @@ eps * exp(-alpha |x|^2), power law eps / (1+|x|)^alpha with alpha > 2, and
 finite unions of disjoint ball indicators sum_i alpha_i chi_{B_i}.  The
 smooth shapes carry an analytic x . grad(rho); the indicator class instead
 supports the boundary surface functional used in the Pohozaev identity.
+Sampled fields are float64 arrays of the grid's shape (N, N, N).
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Grid3, RealField, lp_norm
+from .grid import Grid3, lp_norm
 
 __all__ = [
     "ZeroProfile",
@@ -50,10 +51,10 @@ class GaussianProfile:
     alpha: float
 
     def __post_init__(self):
-        if self.epsilon <= 0.0:
-            raise ValueError("Gaussian profile amplitude must be positive")
-        if self.alpha <= 0.0:
-            raise ValueError("Gaussian profile decay rate must be positive")
+        if not (0.0 < self.epsilon < np.inf):
+            raise ValueError(f"Gaussian profile amplitude must be positive and finite, got {self.epsilon}")
+        if not (0.0 < self.alpha < np.inf):
+            raise ValueError(f"Gaussian profile decay rate must be positive and finite, got {self.alpha}")
 
 
 @dataclass(frozen=True)
@@ -64,10 +65,10 @@ class PowerLawProfile:
     alpha: float
 
     def __post_init__(self):
-        if self.epsilon <= 0.0:
-            raise ValueError("power-law profile amplitude must be positive")
-        if self.alpha <= 2.0:
-            raise ValueError("power-law exponent must exceed 2")
+        if not (0.0 < self.epsilon < np.inf):
+            raise ValueError(f"power-law profile amplitude must be positive and finite, got {self.epsilon}")
+        if not (2.0 < self.alpha < np.inf):
+            raise ValueError(f"power-law exponent must be finite and exceed 2, got {self.alpha}")
 
 
 @dataclass(frozen=True)
@@ -80,12 +81,12 @@ class BallSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "center", tuple(float(c) for c in self.center))
-        if len(self.center) != 3:
-            raise ValueError("ball center must be a 3-vector")
-        if self.radius <= 0.0:
-            raise ValueError("ball radius must be positive")
-        if self.amplitude <= 0.0:
-            raise ValueError("ball amplitude must be positive")
+        if len(self.center) != 3 or not np.all(np.isfinite(self.center)):
+            raise ValueError(f"ball center must be a finite 3-vector, got {self.center}")
+        if not (0.0 < self.radius < np.inf):
+            raise ValueError(f"ball radius must be positive and finite, got {self.radius}")
+        if not (0.0 < self.amplitude < np.inf):
+            raise ValueError(f"ball amplitude must be positive and finite, got {self.amplitude}")
 
     def boundary_sup(self) -> float:
         """sup of |x| over the boundary sphere."""
@@ -123,15 +124,15 @@ def _check_ball_in_box(ball: BallSpec, grid: Grid3):
             )
 
 
-def sample_rho(profile: DopingProfile, grid: Grid3) -> RealField:
+def sample_rho(profile: DopingProfile, grid: Grid3) -> np.ndarray:
     """Pointwise samples of rho at the grid nodes (cell-center rule for indicators)."""
     if isinstance(profile, ZeroProfile):
-        return RealField(grid, np.zeros((grid.n,) * 3))
+        return np.zeros((grid.n,) * 3)
     if isinstance(profile, GaussianProfile):
-        return RealField(grid, profile.epsilon * np.exp(-profile.alpha * grid.radius_sq()))
+        return profile.epsilon * np.exp(-profile.alpha * grid.radius_sq())
     if isinstance(profile, PowerLawProfile):
         r = np.sqrt(grid.radius_sq())
-        return RealField(grid, profile.epsilon / (1.0 + r) ** profile.alpha)
+        return profile.epsilon / (1.0 + r) ** profile.alpha
     if isinstance(profile, BallsProfile):
         out = np.zeros((grid.n,) * 3)
         x, y, z = grid.coords()
@@ -140,22 +141,20 @@ def sample_rho(profile: DopingProfile, grid: Grid3) -> RealField:
             cx, cy, cz = ball.center
             inside = (x - cx) ** 2 + (y - cy) ** 2 + (z - cz) ** 2 <= ball.radius**2
             out += ball.amplitude * inside
-        return RealField(grid, out)
+        return out
     raise TypeError(f"unknown profile type {type(profile)!r}")
 
 
-def sample_x_grad_rho(profile: DopingProfile, grid: Grid3) -> RealField:
+def sample_x_grad_rho(profile: DopingProfile, grid: Grid3) -> np.ndarray:
     """Analytic x . grad(rho) sampled at the nodes (smooth profiles only)."""
     if isinstance(profile, ZeroProfile):
-        return RealField(grid, np.zeros((grid.n,) * 3))
+        return np.zeros((grid.n,) * 3)
     if isinstance(profile, GaussianProfile):
         r2 = grid.radius_sq()
-        vals = -2.0 * profile.alpha * profile.epsilon * r2 * np.exp(-profile.alpha * r2)
-        return RealField(grid, vals)
+        return -2.0 * profile.alpha * profile.epsilon * r2 * np.exp(-profile.alpha * r2)
     if isinstance(profile, PowerLawProfile):
         r = np.sqrt(grid.radius_sq())
-        vals = -profile.alpha * profile.epsilon * r / (1.0 + r) ** (profile.alpha + 1.0)
-        return RealField(grid, vals)
+        return -profile.alpha * profile.epsilon * r / (1.0 + r) ** (profile.alpha + 1.0)
     if isinstance(profile, BallsProfile):
         raise UnsupportedDerivativeError(
             "a characteristic-function profile has no weak derivative; "
@@ -166,11 +165,10 @@ def sample_x_grad_rho(profile: DopingProfile, grid: Grid3) -> RealField:
 
 def rho_norms(profile: DopingProfile, grid: Grid3) -> tuple[float, float | None]:
     """(L^{6/5} norm of rho, L^{6/5} norm of x.grad(rho) or None for indicators)."""
-    rho = sample_rho(profile, grid)
-    n1 = lp_norm(rho, 1.2)
+    n1 = lp_norm(sample_rho(profile, grid), 1.2, grid)
     if isinstance(profile, BallsProfile):
         return n1, None
-    return n1, lp_norm(sample_x_grad_rho(profile, grid), 1.2)
+    return n1, lp_norm(sample_x_grad_rho(profile, grid), 1.2, grid)
 
 
 def powerlaw_tail_bound(profile: PowerLawProfile, grid: Grid3) -> float:
@@ -264,23 +262,25 @@ def _trilinear(values: np.ndarray, grid: Grid3, points: np.ndarray) -> np.ndarra
 
 
 def a3_boundary(
-    s1_field: RealField,
+    s1: np.ndarray,
+    grid: Grid3,
     balls: tuple[BallSpec, ...] | list[BallSpec],
     n_theta: int = 32,
     n_phi: int = 64,
 ) -> float:
-    """Boundary form of the dilation functional for indicator profiles:
+    """Boundary form of the dilation functional for indicator profiles, from
+    the samples s1 of S1 on grid:
 
         -(1/2) sum_i alpha_i  surf_int_{|x-c_i|=R_i}  S1 (x . n) dS.
     """
-    grid = s1_field.grid
+    grid.require_shape(s1)
     dirs, weights = _sphere_quadrature(n_theta, n_phi)
     total = 0.0
     for ball in balls:
         _check_ball_in_box(ball, grid)
         pts = np.asarray(ball.center) + ball.radius * dirs
-        s1 = _trilinear(s1_field.values, grid, pts)
+        s1_at = _trilinear(s1, grid, pts)
         x_dot_n = np.einsum("ij,ij->i", pts, dirs)
-        integral = float(np.sum(weights * s1 * x_dot_n)) * ball.radius**2
+        integral = float(np.sum(weights * s1_at * x_dot_n)) * ball.radius**2
         total += -0.5 * ball.amplitude * integral
     return total

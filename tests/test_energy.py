@@ -56,6 +56,11 @@ class TestPhysParams:
         with pytest.raises(ValueError):
             PhysParams(2.2, 0.0)
 
+    @pytest.mark.parametrize("e", [float("nan"), float("inf")])
+    def test_coupling_that_is_not_finite_is_rejected(self, e):
+        with pytest.raises(ValueError, match="positive and finite"):
+            PhysParams(2.2, e)
+
     def test_regime_flag(self):
         assert PhysParams(2.2, 1.0).in_theory_regime
         assert not PhysParams(3.0, 1.0).in_theory_regime
@@ -98,24 +103,24 @@ class TestS1:
 class TestS2:
     def test_zero_profile(self, grid32, ws32):
         s2 = compute_S2(ZeroProfile(), ws32)
-        assert np.max(np.abs(s2.values)) == 0.0
+        assert np.max(np.abs(s2)) == 0.0
 
     def test_unit_ball_center(self, grid64, ws64):
         prof = BallsProfile((BallSpec((0.0, 0.0, 0.0), 1.0, 1.0),))
         s2 = compute_S2(prof, ws64)
         r = grid64.radius_sq()
-        assert s2.values[r == 0.0][0] == pytest.approx(-0.25, rel=0.05)
+        assert s2[r == 0.0][0] == pytest.approx(-0.25, rel=0.05)
 
     def test_gaussian_center(self, grid64, ws64):
         # rho = exp(-r^2): S2(0) = -(1/(8 pi)) * 4 pi * int r exp(-r^2) dr = -1/4
         prof = GaussianProfile(1.0, 1.0)
         s2 = compute_S2(prof, ws64)
         r = grid64.radius_sq()
-        assert s2.values[r == 0.0][0] == pytest.approx(-0.25, abs=1e-7)
+        assert s2[r == 0.0][0] == pytest.approx(-0.25, abs=1e-7)
 
     def test_nonpositive_and_decaying(self, grid64, ws64):
         prof = GaussianProfile(0.5, 1.0)
-        s2 = compute_S2(prof, ws64).values
+        s2 = compute_S2(prof, ws64)
         assert s2.max() <= 1e-14
         edge = np.abs(s2[0, :, :]).max()
         center = np.abs(s2).max()
@@ -125,10 +130,10 @@ class TestS2:
         prof = GaussianProfile(1.0, 1.0)
         a = compute_S2(prof, ws32)
         b = compute_S2(prof, ws32)
-        assert np.array_equal(a.values, b.values)
+        assert np.array_equal(a, b)
         fields = profile_fields(prof, ws32)
         assert profile_fields(prof, ws32) is fields
-        assert np.array_equal(fields.s2, a.values)
+        assert np.array_equal(fields.s2, a)
 
 
 class TestEnergyBreakdown:
@@ -164,11 +169,14 @@ class TestEnergyBreakdown:
         exact = -(0.3 / (32.0 * np.pi)) * gaussian_coulomb_interaction(1.0, 0.5)
         assert bd.a2 == pytest.approx(exact, rel=1e-8)
 
-    def test_a2_equals_a2prime(self, grid64, ws64):
-        params = PhysParams(2.2, 1.0)
-        u = gaussian_state(grid64)
-        bd = energy_breakdown(u, GaussianProfile(0.3, 1.0), params, ws64)
-        assert bd.a2 == pytest.approx(bd.a2prime, rel=1e-10)
+    def test_coulomb_solve_is_symmetric(self, grid64, ws64, rng):
+        # <coulomb(f), g> = <f, coulomb(g)>: why A2 = 1/4 int S2 |u|^2, the
+        # form computed, equals -1/4 int S1(u) rho
+        f = np.abs(smooth_random_complex(grid64, rng)) ** 2
+        g = sample_rho(GaussianProfile(0.3, 1.0), grid64)
+        lhs = float(np.sum(ws64.coulomb(f) * g))
+        rhs = float(np.sum(f * ws64.coulomb(g)))
+        assert lhs == pytest.approx(rhs, rel=1e-10)
 
     def test_energy_from_components(self, grid32, ws32, rng):
         params = PhysParams(2.2, 1.3)
@@ -205,7 +213,7 @@ class TestEnergyBreakdown:
         bd = energy_breakdown(u, prof, params, ws64)
         s1 = Evaluation(u.values, ws64).s1
         xgr = sample_x_grad_rho(prof, grid64)
-        expected = 0.5 * float(np.sum(s1 * xgr.values)) * grid64.cell_volume
+        expected = 0.5 * float(np.sum(s1 * xgr)) * grid64.cell_volume
         assert bd.a3 == pytest.approx(expected, rel=1e-12)
         assert bd.a3_form == "smooth"
 
@@ -234,10 +242,10 @@ class TestSignStructure:
         s1 = Evaluation(u.values, ws32).s1
         s2 = compute_S2(prof, ws32)
         assert s1.min() > -1e-12
-        assert s2.values.max() <= 1e-14
+        assert s2.max() <= 1e-14
         # by linearity S1 + S2 is the potential of (|u|^2 - rho) / 2
-        src = 0.5 * (np.abs(u.values) ** 2 - sample_rho(prof, grid32).values)
-        assert np.allclose(ws32.coulomb(src), s1 + s2.values)
+        src = 0.5 * (np.abs(u.values) ** 2 - sample_rho(prof, grid32))
+        assert np.allclose(ws32.coulomb(src), s1 + s2)
 
 
 class TestGridCheck:
@@ -448,3 +456,11 @@ class TestScalingCheck:
             scaling_check(-1.0, 0.0, 1.0, 2.0, ws32)
         with pytest.raises(ValueError):
             scaling_check(1.0, 0.0, 1.0, -2.0, ws32)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("name", ["width", "a", "b", "lam", "amplitude"])
+    def test_arg_that_is_not_finite_is_rejected(self, ws32, name, bad):
+        args = dict(width=1.0, a=1.5, b=1.0, lam=2.0, amplitude=1.0)
+        args[name] = bad
+        with pytest.raises(ValueError, match="finite"):
+            scaling_check(ws=ws32, **args)

@@ -16,7 +16,6 @@ from spwaves.energy import Evaluation
 from spwaves.grid import (
     ComplexField,
     Grid3,
-    RealField,
     SpectralWorkspace,
     _kernel_build_bytes,
     _unit_kernel_hat,
@@ -73,36 +72,41 @@ class TestGrid3:
 
 class TestFields:
     def test_shape_mismatch_rejected(self, grid32):
-        with pytest.raises(ValueError):
-            RealField(grid32, np.zeros((8, 8, 8)))
+        with pytest.raises(ValueError, match="shape"):
+            ComplexField(grid32, np.zeros((8, 8, 8), dtype=complex))
 
     def test_nan_rejected(self, grid32):
-        vals = np.zeros((32, 32, 32))
-        vals[0, 0, 0] = np.nan
-        with pytest.raises(ValueError):
-            RealField(grid32, vals)
-        with pytest.raises(ValueError):
-            ComplexField(grid32, vals.astype(complex))
+        vals = np.zeros((32, 32, 32), dtype=complex)
+        vals[0, 0, 0] = complex(0.0, np.nan)
+        with pytest.raises(ValueError, match="non-finite"):
+            ComplexField(grid32, vals)
 
 
 class TestLpNorm:
     def test_constant_field(self, grid32):
-        f = RealField(grid32, np.ones((32,) * 3))
-        assert abs(lp_norm(f, 2.0) - grid32.volume**0.5) < 1e-12
+        assert abs(lp_norm(np.ones((32,) * 3), 2.0, grid32) - grid32.volume**0.5) < 1e-12
 
     def test_gaussian_l2(self, grid64):
-        f = RealField(grid64, gaussian(grid64))
         exact = np.pi**0.75
-        assert abs(lp_norm(f, 2.0) - exact) / exact < 1e-10
+        assert abs(lp_norm(gaussian(grid64), 2.0, grid64) - exact) / exact < 1e-10
 
     def test_unit_ball_l65(self, grid64):
         ball = (grid64.radius_sq() <= 1.0).astype(float)
         exact = (4.0 * np.pi / 3.0) ** (5.0 / 6.0)
-        assert abs(lp_norm(RealField(grid64, ball), 1.2) - exact) / exact < 0.05
+        assert abs(lp_norm(ball, 1.2, grid64) - exact) / exact < 0.05
 
     def test_p_below_one_rejected(self, grid32):
         with pytest.raises(ValueError):
-            lp_norm(RealField(grid32, np.ones((32,) * 3)), 0.5)
+            lp_norm(np.ones((32,) * 3), 0.5, grid32)
+
+    def test_array_of_another_grid_rejected(self, grid32, grid64):
+        with pytest.raises(ValueError, match="shape"):
+            lp_norm(gaussian(grid64), 2.0, grid32)
+
+    @pytest.mark.parametrize("p", [float("nan"), float("inf")])
+    def test_p_that_is_not_finite_is_rejected(self, grid32, p):
+        with pytest.raises(ValueError, match="finite p >= 1"):
+            lp_norm(np.ones((32,) * 3), p, grid32)
 
 
 class TestGradNormSq:

@@ -52,7 +52,7 @@ def test_cold_starts_are_real_gaussians_of_the_start_widths():
     mu = 100.0
     widths = np.geomspace(3.0 * grid.spacing, grid.length / 5.0, 10)
     best = min(widths, key=lambda w: objective(_gaussian_trial(grid, w, mu), need_grad=False)[0])
-    states = _initial_states(mu, objective, MinimizeConfig(n_restarts=3))
+    states = _initial_states(mu, objective, MinimizeConfig(n_restarts=3), None)
     assert len(states) == 3
     for vals, factor in zip(states, (1.0, 0.6, 1.7)):
         assert not np.any(vals.imag)
@@ -79,11 +79,11 @@ def test_cold_restarts_are_deterministic():
     assert np.array_equal(runs[0].u_min.values, runs[1].u_min.values)
 
 
-def test_init_field_is_the_start_of_a_zero_iteration_flow(grid32, ws32, rng):
+def test_warm_start_is_the_start_of_a_zero_iteration_flow(grid32, ws32, rng):
     f = ComplexField(grid32, smooth_random_complex(grid32, rng))
     mu = 100.0
-    config = MinimizeConfig(init_field=f, n_restarts=1, max_iters=0)
-    res = minimize_at_mass(mu, GaussianProfile(1.0, 1.0), PhysParams(2.1, 0.3), config, ws32)
+    config = MinimizeConfig(n_restarts=3, max_iters=0)  # a warm start ignores n_restarts
+    res = minimize_at_mass(mu, GaussianProfile(1.0, 1.0), PhysParams(2.1, 0.3), config, ws32, start=f)
     assert res.iterations == 0
     assert abs(res.breakdown.mass - mu) <= 1e-12 * mu
     # u_min = c f for one complex c: f up to its phase and mass
@@ -91,11 +91,10 @@ def test_init_field_is_the_start_of_a_zero_iteration_flow(grid32, ws32, rng):
     assert np.allclose(res.u_min.values, c * f.values, rtol=0.0, atol=1e-12 * np.max(np.abs(res.u_min.values)))
 
 
-def test_init_field_on_another_grid_is_rejected(grid24, ws32):
+def test_warm_start_on_another_grid_is_rejected(grid24, ws32):
     f = ComplexField(grid24, _gaussian_trial(grid24, 1.0, 1.0))
-    config = MinimizeConfig(init_field=f, n_restarts=1, max_iters=0)
     with pytest.raises(GridMismatchError):
-        minimize_at_mass(1.0, ZeroProfile(), PhysParams(2.1, 0.3), config, ws32)
+        minimize_at_mass(1.0, ZeroProfile(), PhysParams(2.1, 0.3), MinimizeConfig(max_iters=0), ws32, start=f)
 
 
 class _Calls:
@@ -146,11 +145,11 @@ def test_flow_reuses_the_accepted_trial(grid24):
 
 def test_c_curve_restarts_cold_after_an_abort(grid24, monkeypatch):
     first = ComplexField(grid24, np.ones((24,) * 3, dtype=complex))
-    configs = []
+    calls = []
 
-    def fake_minimize(mu, profile, params, cfg, ws):
-        configs.append(cfg)
-        if len(configs) == 2:
+    def fake_minimize(mu, profile, params, cfg, ws, start):
+        calls.append((cfg, start))
+        if len(calls) == 2:
             raise NumericalAbort("injected")
         residuals = dict(nehari=0.0, pohozaev=0.0, lemma23=0.0, gradient=0.0)
         return SimpleNamespace(u_min=first, c_value=-mu, omega=1.0, residuals=residuals, iterations=1, converged=True)
@@ -158,9 +157,8 @@ def test_c_curve_restarts_cold_after_an_abort(grid24, monkeypatch):
     monkeypatch.setattr(minimize, "minimize_at_mass", fake_minimize)
     config = MinimizeConfig()
     table = c_curve([1.0, 2.0, 3.0], ZeroProfile(), PhysParams(2.1, 0.3), config, SpectralWorkspace(grid24))
-    assert configs[0] is config
-    assert configs[1].init_field is first and configs[1].n_restarts == 1
-    assert configs[2] is config
+    assert all(cfg is config for cfg, _ in calls)
+    assert calls[0][1] is None and calls[1][1] is first and calls[2][1] is None
     assert [p.c for p in table.points][::2] == [-1.0, -3.0] and np.isnan(table.points[1].c)
 
 
@@ -169,7 +167,7 @@ def _fake_curve(monkeypatch, c_values):
     or raises NumericalAbort where that value is None."""
     values = iter(c_values)
 
-    def fake_minimize(mu, profile, params, cfg, ws):
+    def fake_minimize(mu, profile, params, cfg, ws, start):
         c = next(values)
         if c is None:
             raise NumericalAbort("injected")
@@ -335,6 +333,12 @@ def test_spectral_floor_converges_in_few_iterations():
 def test_spectral_floor_reports_the_iteration_cap():
     (pt,) = spectral_floor(GaussianProfile(1.0, 1.0), 0.3, (16.0,), MinimizeConfig(max_iters=2), 16)
     assert (pt.converged, pt.iterations) == (False, 2)
+
+
+@pytest.mark.parametrize("e", [0.0, float("nan"), float("inf")])
+def test_spectral_floor_rejects_a_coupling_that_is_not_positive_and_finite(e):
+    with pytest.raises(ValueError, match="positive and finite"):
+        spectral_floor(GaussianProfile(1.0, 1.0), e, (8.0,), MinimizeConfig(), 8)
 
 
 def test_spectral_floor_of_zero_doping_is_zero():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from spwaves.grid import Grid3, RealField
+from spwaves.grid import Grid3
 from spwaves.profiles import (
     BallGeometry,
     BallSpec,
@@ -51,26 +51,44 @@ class TestProfileValidation:
         with pytest.raises(ValueError):
             BallSpec((0.0, 0.0, 0.0), -1.0, 1.0)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda x: GaussianProfile(x, 1.0),
+            lambda x: GaussianProfile(1.0, x),
+            lambda x: PowerLawProfile(x, 3.0),
+            lambda x: PowerLawProfile(1.0, x),
+            lambda x: BallSpec((0.0, 0.0, 0.0), x, 1.0),
+            lambda x: BallSpec((0.0, 0.0, 0.0), 1.0, x),
+            lambda x: BallSpec((0.0, x, 0.0), 1.0, 1.0),
+        ],
+        ids=["gauss-eps", "gauss-alpha", "power-eps", "power-alpha", "ball-radius", "ball-amp", "ball-center"],
+    )
+    def test_parameter_that_is_not_finite_is_rejected(self, make, bad):
+        with pytest.raises(ValueError, match="finite"):
+            make(bad)
+
 
 class TestSampleRho:
     def test_gaussian_at_origin(self, grid64):
         f = sample_rho(GaussianProfile(1.0, 1.0), grid64)
         r = grid64.radius_sq()
-        assert f.values[r == 0.0][0] == 1.0
+        assert f[r == 0.0][0] == 1.0
 
     def test_powerlaw_at_unit_radius(self, grid64):
         f = sample_rho(PowerLawProfile(1.0, 3.0), grid64)
         x, _, _ = grid64.coords()
         idx = np.argmin(np.abs(grid64.axis_coords() - 1.0))
         mid = grid64.n // 2
-        assert f.values[idx, mid, mid] == pytest.approx(1.0 / 8.0)
+        assert f[idx, mid, mid] == pytest.approx(1.0 / 8.0)
 
     def test_ball_indicator_values(self, grid64):
         prof = BallsProfile((BallSpec((0.0, 0.0, 0.0), 1.0, 2.0),))
         f = sample_rho(prof, grid64)
         r2 = grid64.radius_sq()
-        assert np.all(f.values[r2 <= 0.25] == 2.0)
-        assert np.all(f.values[r2 >= 2.25] == 0.0)
+        assert np.all(f[r2 <= 0.25] == 2.0)
+        assert np.all(f[r2 >= 2.25] == 0.0)
 
     def test_nonnegative_everywhere(self, grid64):
         for prof in (
@@ -79,7 +97,7 @@ class TestSampleRho:
             BallsProfile((BallSpec((1.0, -1.0, 0.5), 1.5, 0.7),)),
             ZeroProfile(),
         ):
-            assert np.all(sample_rho(prof, grid64).values >= 0.0)
+            assert np.all(sample_rho(prof, grid64) >= 0.0)
 
     def test_ball_touching_boundary_rejected(self, grid64):
         prof = BallsProfile((BallSpec((7.0, 0.0, 0.0), 1.0, 1.0),))
@@ -89,7 +107,7 @@ class TestSampleRho:
     def test_decay_bound(self, grid64):
         # rho <= C / (1 + |x|^alpha) with C = eps * sup over the grid
         prof = GaussianProfile(0.8, 1.0)
-        vals = sample_rho(prof, grid64).values
+        vals = sample_rho(prof, grid64)
         r = np.sqrt(grid64.radius_sq())
         alpha = 3.0
         bound = vals.max() * (1.0 + r**alpha)
@@ -100,19 +118,19 @@ class TestXGradRho:
     def test_zero_at_origin(self, grid64):
         for prof in (GaussianProfile(1.0, 1.0), PowerLawProfile(1.0, 3.0)):
             f = sample_x_grad_rho(prof, grid64)
-            assert f.values[grid64.radius_sq() == 0.0][0] == 0.0
+            assert f[grid64.radius_sq() == 0.0][0] == 0.0
 
     def test_gaussian_at_unit_radius(self, grid64):
         f = sample_x_grad_rho(GaussianProfile(1.0, 1.0), grid64)
         idx = np.argmin(np.abs(grid64.axis_coords() - 1.0))
         mid = grid64.n // 2
-        assert f.values[idx, mid, mid] == pytest.approx(-2.0 * np.exp(-1.0))
+        assert f[idx, mid, mid] == pytest.approx(-2.0 * np.exp(-1.0))
 
     def test_powerlaw_at_unit_radius(self, grid64):
         f = sample_x_grad_rho(PowerLawProfile(1.0, 3.0), grid64)
         idx = np.argmin(np.abs(grid64.axis_coords() - 1.0))
         mid = grid64.n // 2
-        assert f.values[idx, mid, mid] == pytest.approx(-3.0 / 16.0)
+        assert f[idx, mid, mid] == pytest.approx(-3.0 / 16.0)
 
     def test_finite_difference_oracle(self, grid64):
         # r d/dr of rho via central differences in the radius
@@ -122,7 +140,7 @@ class TestXGradRho:
         dr = 1e-6
         rho_of = lambda rr: prof.epsilon * np.exp(-prof.alpha * rr**2)
         fd = r * (rho_of(r + dr) - rho_of(r - dr)) / (2.0 * dr)
-        assert np.max(np.abs(f.values - fd)) < 1e-6
+        assert np.max(np.abs(f - fd)) < 1e-6
 
     def test_balls_rejected(self, grid64):
         prof = BallsProfile((BallSpec((0.0, 0.0, 0.0), 1.0, 1.0),))
@@ -194,39 +212,42 @@ class TestBallGeometry:
 
 class TestA3Boundary:
     def test_zero_field(self, grid64):
-        f = RealField(grid64, np.zeros((64,) * 3))
         balls = [BallSpec((0.0, 0.0, 0.0), 1.0, 1.0)]
-        assert a3_boundary(f, balls) == 0.0
+        assert a3_boundary(np.zeros((64,) * 3), grid64, balls) == 0.0
 
     def test_constant_field_divergence_theorem(self, grid64):
         # constant S1 = c: the surface integral of x.n is 3|B|, so the value
         # is -(alpha/2) c 4 pi R^3
         c, alpha, radius = 0.7, 2.0, 1.5
-        f = RealField(grid64, np.full((64,) * 3, c))
+        f = np.full((64,) * 3, c)
         balls = [BallSpec((0.5, -0.25, 0.0), radius, alpha)]
         expected = -(alpha / 2.0) * c * 4.0 * np.pi * radius**3
-        got = a3_boundary(f, balls)
+        got = a3_boundary(f, grid64, balls)
         assert got == pytest.approx(expected, rel=1e-6)
 
     def test_richardson_node_refinement(self, grid64):
         # smooth nonconstant field: doubling both node counts should not
         # move the value beyond the trilinear-interpolation noise floor
         r2 = grid64.radius_sq()
-        f = RealField(grid64, np.exp(-r2 / 4.0))
+        f = np.exp(-r2 / 4.0)
         balls = [BallSpec((0.0, 0.0, 0.0), 1.25, 1.0)]
-        coarse = a3_boundary(f, balls, 32, 64)
-        fine = a3_boundary(f, balls, 64, 128)
+        coarse = a3_boundary(f, grid64, balls, 32, 64)
+        fine = a3_boundary(f, grid64, balls, 64, 128)
         assert coarse == pytest.approx(fine, rel=1e-4)
 
+    def test_wrongly_shaped_s1_rejected(self, grid64):
+        balls = [BallSpec((0.0, 0.0, 0.0), 1.0, 1.0)]
+        with pytest.raises(ValueError, match="shape"):
+            a3_boundary(np.zeros((32,) * 3), grid64, balls)
+
     def test_sphere_outside_box_rejected(self, grid64):
-        f = RealField(grid64, np.zeros((64,) * 3))
         with pytest.raises(ValueError):
-            a3_boundary(f, [BallSpec((7.5, 0.0, 0.0), 1.0, 1.0)])
+            a3_boundary(np.zeros((64,) * 3), grid64, [BallSpec((7.5, 0.0, 0.0), 1.0, 1.0)])
 
     def test_additive_over_balls(self, grid64):
         r2 = grid64.radius_sq()
-        f = RealField(grid64, np.exp(-r2 / 8.0))
+        f = np.exp(-r2 / 8.0)
         b1 = BallSpec((-2.0, 0.0, 0.0), 1.0, 1.0)
         b2 = BallSpec((2.0, 0.0, 0.0), 0.8, 0.5)
-        total = a3_boundary(f, [b1, b2])
-        assert total == pytest.approx(a3_boundary(f, [b1]) + a3_boundary(f, [b2]), rel=1e-12)
+        total = a3_boundary(f, grid64, [b1, b2])
+        assert total == pytest.approx(a3_boundary(f, grid64, [b1]) + a3_boundary(f, grid64, [b2]), rel=1e-12)
