@@ -376,8 +376,10 @@ def scaling_check(
     """
     if not (0.0 < width < np.inf and 0.0 < lam < np.inf):
         raise ValueError(f"width and lam must be positive and finite, got {width} and {lam}")
-    if not np.all(np.isfinite((a, b, amplitude))):
-        raise ValueError(f"a, b and amplitude must be finite, got {a}, {b} and {amplitude}")
+    if not np.all(np.isfinite((a, b))):
+        raise ValueError(f"a and b must be finite, got {a} and {b}")
+    if not (amplitude != 0.0 and np.isfinite(amplitude)):
+        raise ValueError(f"amplitude must be nonzero and finite, got {amplitude}")
     grid = ws.grid
 
     base = _gaussian_state(grid, amplitude, width)

@@ -147,6 +147,12 @@ def _kernel_build_bytes(n: int) -> int:
     return 16 * n2 * n2 * (n2 + 1) + 8 * n2 * n2 * n4 + 16 * n4 * n4 * _KERNEL_SLAB
 
 
+# Bytes of padded (2N, 2N, columns) complex spectrum one slab of a Coulomb
+# solve may hold: N=32, the ground flow's size, stays one slab; N=64 takes
+# two and N=96 four.
+_SOLVE_SLAB_BYTES = 16 * 2**20
+
+
 @functools.cache
 def _unit_kernel_hat(n: int) -> np.ndarray:
     """Effective kernel spectrum for the zero-padded (2N)^3 transform on the
@@ -208,17 +214,17 @@ def _unit_kernel_hat(n: int) -> np.ndarray:
 
 
 class SpectralWorkspace:
-    """Transform tables and the precomputed Coulomb kernel for one grid.
+    """Transform tables for one grid, and the package's one Coulomb solve.
 
-    ``coulomb`` is the package's one Coulomb solve.  It has no boundary
-    policy: data near the edge of the box is solved as given.
-
-    The unit-box kernel is built once per N per process and shared
-    read-only by every workspace of that N; each workspace scales it by L^2
-    on first use.  Neither step is guarded, so concurrent workers that reach
-    an unbuilt kernel each build it: touch ``kernel_hat`` before sharing a
-    workspace between workers.  Solves keep no scratch state, and fields are
-    immutable and may move between threads freely.
+    ``coulomb`` has no boundary policy: data near the edge of the box is
+    solved as given.  A workspace holds only its grid and the ``k2`` table;
+    the Coulomb kernel is the unit-box kernel, built once per N per process
+    and shared read-only by every workspace of that N, scaled by L^2 slab by
+    slab inside each solve.  ``kernel_hat`` returns a fresh scaled copy, for
+    inspection only.  The first solve per N builds the shared unit kernel,
+    unguarded, so concurrent workers that reach an unbuilt N each build it.
+    Solves keep no scratch state, and fields are immutable and may move
+    between threads freely.
 
     A grid whose kernel build would need more than the host's physical
     memory raises MemoryError here, before anything is allocated.
@@ -234,14 +240,12 @@ class SpectralWorkspace:
             )
         self.grid = grid
         self.k2 = grid.wavenumber_sq()
-        self._kernel_hat: np.ndarray | None = None
 
     @property
     def kernel_hat(self) -> np.ndarray:
-        """Coulomb kernel spectrum on the padded grid, made on first use."""
-        if self._kernel_hat is None:
-            self._kernel_hat = self.grid.length**2 * _unit_kernel_hat(self.grid.n)
-        return self._kernel_hat
+        """Coulomb kernel spectrum on the padded grid: a fresh array on each
+        access, L^2 times the shared unit kernel."""
+        return self.grid.length**2 * _unit_kernel_hat(self.grid.n)
 
     def fft(self, values: np.ndarray) -> np.ndarray:
         return sfft.fftn(values, workers=_FFT_WORKERS)
@@ -252,20 +256,39 @@ class SpectralWorkspace:
     def coulomb(self, values: np.ndarray) -> np.ndarray:
         """(-Delta)^{-1} applied to real data: the free-space potential.
 
-        The zero-padded (2N)^3 data is transformed one axis at a time in
-        rfftn's order, so no transform runs over the all-zero rows, and each
-        inverse axis is cut to its N kept outputs before the next one runs;
-        the 1/(2N)^3 comes last, where irfftn applies it.  The result is bit
-        for bit the dense padded solve."""
+        The data is zero-padded to (2N)^3 and transformed one axis at a time
+        in rfftn's order, starting with the real axis 2, which gives (N, N,
+        N+1).  The axis-0 and axis-1 passes act on each k_z column alone, so
+        they run one slab of k_z columns at a time, at most
+        _SOLVE_SLAB_BYTES of padded spectrum: pad and transform axis 0, then
+        axis 1; multiply by the slab's columns of L^2 times the unit kernel,
+        the products ``kernel_hat`` holds; invert axis 0 and axis 1, each
+        cut to its N kept outputs before the next; write the slab back.
+        Last come the inverse of axis 2 and the 1/(2N)^3, where irfftn
+        applies it.  Every 1-D transform and every kernel product is the one
+        the dense padded solve makes, so the result is that solve's bit for
+        bit; no transform runs over the all-zero rows, and no full
+        (2N)^2 (N+1) spectrum is ever made."""
         n = self.grid.n
         n2 = 2 * n
+        unit = _unit_kernel_hat(n)
+        scale = self.grid.length**2
+        # as few slabs as the budget allows, of near-equal width
+        per_slab = max(1, _SOLVE_SLAB_BYTES // (16 * n2 * n2))
+        width = -(-(n + 1) // -(-(n + 1) // per_slab))
         vhat = sfft.rfft(values, n=n2, axis=2, workers=_FFT_WORKERS)
-        vhat = sfft.fft(vhat, n=n2, axis=0, workers=_FFT_WORKERS)
-        vhat = sfft.fft(vhat, n=n2, axis=1, workers=_FFT_WORKERS)
-        vhat *= self.kernel_hat
-        v = sfft.ifft(vhat, axis=0, norm="forward", overwrite_x=True, workers=_FFT_WORKERS)
-        v = sfft.ifft(v[:n], axis=1, norm="forward", workers=_FFT_WORKERS)
-        v = sfft.irfft(v[:, :n], n=n2, axis=2, norm="forward", workers=_FFT_WORKERS)
+        for k0 in range(0, n + 1, width):
+            cols = slice(k0, k0 + width)
+            part = sfft.fft(vhat[:, :, cols], n=n2, axis=0, workers=_FFT_WORKERS)
+            part = sfft.fft(part, n=n2, axis=1, workers=_FFT_WORKERS)
+            part *= scale * unit[:, :, cols]
+            part = sfft.ifft(part, axis=0, norm="forward", overwrite_x=True, workers=_FFT_WORKERS)
+            part = sfft.ifft(part[:n], axis=1, norm="forward", overwrite_x=True, workers=_FFT_WORKERS)
+            vhat[:, :, cols] = part[:, :n]
+            # part is a view of the whole (2N, 2N) slab: free it before the
+            # next slab's passes allocate theirs
+            del part
+        v = sfft.irfft(vhat, n=n2, axis=2, norm="forward", overwrite_x=True, workers=_FFT_WORKERS)
         return v[..., :n] * (1.0 / n2**3)
 
 

@@ -115,21 +115,21 @@ class _Objective:
     """The flow's energy E and its gradient, from one Evaluation per point.
 
     The flow asks for the gradient at the very array it just accepted and
-    never changes an array in place, so the last Evaluation is reused when
-    the array is the same object."""
+    never changes an array in place, so the last Evaluation and its energy
+    are reused when the array is the same object."""
 
     def __init__(self, profile: DopingProfile, params: PhysParams, ws: SpectralWorkspace):
         self.fields = profile_fields(profile, ws)
         self.params = params
         self.ws = ws
         self.dv = ws.grid.cell_volume
-        self._last: Evaluation | None = None
+        self._last: tuple[Evaluation, float] | None = None
 
     def __call__(self, vals: np.ndarray, need_grad: bool):
-        ev = self._last
-        if ev is None or ev.vals is not vals:
-            ev = self._last = Evaluation(vals, self.ws)
-        energy = ev.energy_terms(self.fields, self.params)[0]
+        if self._last is None or self._last[0].vals is not vals:
+            ev = Evaluation(vals, self.ws)
+            self._last = ev, ev.energy_terms(self.fields, self.params)[0]
+        ev, energy = self._last
         if not np.isfinite(energy):
             raise NumericalAbort("energy became non-finite")
         grad = ev.gradient(self.fields, self.params) if need_grad else None

@@ -464,3 +464,12 @@ class TestScalingCheck:
         args[name] = bad
         with pytest.raises(ValueError, match="finite"):
             scaling_check(ws=ws32, **args)
+
+    def test_zero_amplitude_is_rejected_before_solving(self, ws32, monkeypatch):
+        # the zero state has no mass, kinetic energy, A1 or S1 to take ratios of
+        def no_solve(values):
+            raise AssertionError("scaling_check solved before checking its arguments")
+
+        monkeypatch.setattr(ws32, "coulomb", no_solve)
+        with pytest.raises(ValueError, match="amplitude must be nonzero"):
+            scaling_check(1.0, 1.5, 1.0, 2.0, ws32, amplitude=0.0)

@@ -27,6 +27,11 @@ from spwaves.grid import (
 from conftest import smooth_random_complex
 
 
+@pytest.fixture(scope="module")
+def ws32_box24():
+    return SpectralWorkspace(Grid3(32, 24.0))
+
+
 def gaussian(grid, width=1.0):
     return np.exp(-grid.radius_sq() / (2.0 * width**2))
 
@@ -180,11 +185,12 @@ class TestCoulombSolve:
             f = rng.standard_normal((24,) * 3)
             assert (np.vdot(ws24.coulomb(f), f) * grid24.cell_volume).real >= -1e-12
 
-    @pytest.mark.parametrize("ws_name", ["ws24", "ws32"])
+    @pytest.mark.parametrize("ws_name", ["ws24", "ws32", "ws32_box24", "ws64"])
     def test_pruned_transforms_equal_dense_padded_solve(self, ws_name, request, rng):
-        # The axis-wise transforms skip the zero half of the padded input and
-        # the discarded outputs, and must still give the dense result bit for
-        # bit.  N=24 pads to 48, which is not a power of two.
+        # The axis-wise, slab-wise transforms skip the zero half of the padded
+        # input and the discarded outputs, and must still give the dense
+        # result bit for bit.  N=24 pads to 48, which is not a power of two;
+        # L=24 makes the L^2 scaling inexact; N=64 runs in two slabs.
         ws = request.getfixturevalue(ws_name)
         n = ws.grid.n
         f = rng.standard_normal((n,) * 3)
@@ -192,6 +198,33 @@ class TestCoulombSolve:
         pad[:n, :n, :n] = f
         dense = sfft.irfftn(sfft.rfftn(pad) * ws.kernel_hat, s=pad.shape)
         assert np.array_equal(ws.coulomb(f), dense[:n, :n, :n])
+
+    def test_solve_transient_is_bounded_by_its_slabs(self, ws64, rng):
+        # One full (2N)^2 (N+1) padded spectrum is 17 MB at N=64, and a solve
+        # that transforms it whole peaks at 28 MiB; in two slabs the whole
+        # transient, result included, stays below 20 MiB.
+        f = rng.standard_normal((64,) * 3)
+        ws64.coulomb(f)  # builds the shared unit kernel outside the trace
+        tracemalloc.start()
+        try:
+            ws64.coulomb(f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * 2**20
+
+    def test_workspace_keeps_no_kernel_after_a_solve(self, ws64, rng):
+        f = rng.standard_normal((64,) * 3)
+        ws64.coulomb(f)  # builds the shared unit kernel outside the trace
+        tracemalloc.start()
+        try:
+            ws = SpectralWorkspace(Grid3(64, 24.0))
+            v = ws.coulomb(f)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        # what stays is the k2 table and the potential, each N^3 floats
+        assert ws.k2.nbytes + v.nbytes <= held < _unit_kernel_hat(64).nbytes
 
     def test_laplacian_residual_interior(self, grid64, ws64):
         # Checked on the padded representation: there the kernel's image

@@ -143,6 +143,26 @@ def test_flow_reuses_the_accepted_trial(grid24):
     assert copied_solves == 1 + copied_obj.trials + copied.iterations
 
 
+def test_flow_computes_each_energy_once(grid24, monkeypatch):
+    counts = {"evaluations": 0, "energy_terms": 0}
+    init, energy_terms = minimize.Evaluation.__init__, minimize.Evaluation.energy_terms
+
+    def counting_init(self, vals, ws):
+        counts["evaluations"] += 1
+        init(self, vals, ws)
+
+    def counting_energy_terms(self, fields, params):
+        counts["energy_terms"] += 1
+        return energy_terms(self, fields, params)
+
+    monkeypatch.setattr(minimize.Evaluation, "__init__", counting_init)
+    monkeypatch.setattr(minimize.Evaluation, "energy_terms", counting_energy_terms)
+    mu, objective = 100.0, _Objective(GaussianProfile(1.0, 1.0), PhysParams(2.1, 0.3), SpectralWorkspace(grid24))
+    state = _normalized_flow(mu, objective, _gaussian_trial(grid24, 1.5, mu), MinimizeConfig(max_iters=20))
+    assert state.iterations == 20
+    assert counts["energy_terms"] == counts["evaluations"] > state.iterations
+
+
 def test_c_curve_restarts_cold_after_an_abort(grid24, monkeypatch):
     first = ComplexField(grid24, np.ones((24,) * 3, dtype=complex))
     calls = []
