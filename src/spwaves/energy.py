@@ -13,6 +13,9 @@ S1(u) = (-Delta)^{-1}(|u|^2/2) and S2 = (-Delta)^{-1}(-rho/2):
     A0 = -1/4 int S2 rho          (state-independent)
     A3 = 1/2 int S1(u) x.grad rho (dilation term; boundary form for balls).
 
+For rho = 0 the same code gives S2 = +0.0 everywhere and A0 = A2 = A3 = 0,
+so c_inf(mu) and c(mu) come from one energy.
+
 The full energy is scriptE = E + e^2 A0.  A2 is computed in its S2 form
 only.  The S1 form equals it because the Coulomb solve is symmetric,
 <coulomb(f), g> = <f, coulomb(g)>, which test_coulomb_solve_is_symmetric
@@ -32,7 +35,6 @@ from .grid import ComplexField, Grid3, SpectralWorkspace
 from .profiles import (
     BallsProfile,
     DopingProfile,
-    ZeroProfile,
     a3_boundary,
     sample_rho,
     sample_x_grad_rho,
@@ -113,10 +115,7 @@ def profile_fields(profile: DopingProfile, ws: SpectralWorkspace) -> ProfileFiel
     fields = per_ws.get(profile)
     if fields is None:
         rho = sample_rho(profile, ws.grid)
-        if isinstance(profile, ZeroProfile):
-            s2 = np.zeros_like(rho)
-        else:
-            s2 = ws.coulomb(-0.5 * rho)
+        s2 = ws.coulomb(-0.5 * rho)
         s2.flags.writeable = False
         a0 = -0.25 * float(np.sum(s2 * rho)) * ws.grid.cell_volume
         fields = per_ws[profile] = ProfileFields(s2, a0)
@@ -172,8 +171,7 @@ class EnergyBreakdown:
     a0: float
     a1: float
     a2: float  # 1/4 int S2 |u|^2
-    a3: float | None
-    a3_form: str  # "smooth", "boundary", or "none"
+    a3: float  # boundary form for balls, smooth form otherwise; 0.0 for rho = 0
     energy: float  # E
     script_energy: float  # E + e^2 A0
     mass: float
@@ -204,14 +202,10 @@ def energy_breakdown(
     ev = Evaluation(u.values, ws)
     energy, power, a2 = ev.energy_terms(fields, params)
 
-    if isinstance(profile, ZeroProfile):
-        a3, a3_form = None, "none"
-    elif isinstance(profile, BallsProfile):
+    if isinstance(profile, BallsProfile):
         a3 = a3_boundary(ev.s1, grid, profile.balls)
-        a3_form = "boundary"
     else:
         a3 = 0.5 * float(np.sum(ev.s1 * sample_x_grad_rho(profile, grid))) * ev.dv
-        a3_form = "smooth"
 
     return EnergyBreakdown(
         kinetic=0.5 * ev.grad_sq,
@@ -220,7 +214,6 @@ def energy_breakdown(
         a1=ev.a1,
         a2=a2,
         a3=a3,
-        a3_form=a3_form,
         energy=energy,
         script_energy=energy + params.e**2 * fields.a0,
         mass=ev.mass,
@@ -292,7 +285,6 @@ def pohozaev_residual(breakdown: EnergyBreakdown, omega: float) -> Residual:
     boundary form for indicator profiles and is zero when rho = 0.
     """
     e2 = breakdown.e**2
-    a3 = breakdown.a3 if breakdown.a3 is not None else 0.0
     return _residual_from_terms(
         [
             0.5 * breakdown.grad_l2_sq,
@@ -300,7 +292,7 @@ def pohozaev_residual(breakdown: EnergyBreakdown, omega: float) -> Residual:
             -3.0 / (breakdown.p + 1.0) * breakdown.lp1_power(),
             5.0 * e2 * breakdown.a1,
             10.0 * e2 * breakdown.a2,
-            -e2 * a3,
+            -e2 * breakdown.a3,
         ]
     )
 
@@ -313,14 +305,13 @@ def lemma23_residual(breakdown: EnergyBreakdown, omega: float) -> Residual:
     """
     p = breakdown.p
     e2 = breakdown.e**2
-    a3 = breakdown.a3 if breakdown.a3 is not None else 0.0
     return _residual_from_terms(
         [
             (5.0 * p - 7.0) * breakdown.energy,
             -2.0 * (p - 2.0) * breakdown.grad_l2_sq,
             0.5 * (3.0 * p - 5.0) * omega * breakdown.mass,
             -8.0 * e2 * breakdown.a2,
-            (3.0 - p) * e2 * a3,
+            (3.0 - p) * e2 * breakdown.a3,
         ]
     )
 
@@ -392,6 +383,8 @@ def scaling_check(
         return {"mass": ev.mass, "kinetic": ev.grad_sq, "a1": ev.a1, "s1_origin": float(ev.s1[origin])}
 
     m0 = measures(base)
+    if 0.0 in m0.values():
+        raise ValueError(f"amplitude {amplitude} is too small: the base state's measures underflow to 0")
     m1 = measures(scaled)
     exponents = {"mass": 2 * a - 3 * b, "kinetic": 2 * a - b, "a1": 4 * a - 5 * b, "s1_origin": 2 * a - 2 * b}
 

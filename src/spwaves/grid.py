@@ -15,6 +15,7 @@ much of a field reaches the edge of the box.
 from __future__ import annotations
 
 import functools
+import operator
 import os
 from dataclasses import dataclass, field
 
@@ -51,6 +52,10 @@ class Grid3:
     length: float
 
     def __post_init__(self):
+        try:
+            object.__setattr__(self, "n", operator.index(self.n))
+        except TypeError:
+            raise ValueError(f"grid size must be an integer, got {self.n!r}") from None
         if self.n < 8 or self.n % 2 != 0:
             raise ValueError(f"grid size must be even and >= 8, got {self.n}")
         if not (self.length > 0.0 and np.isfinite(self.length)):
@@ -159,16 +164,16 @@ def _unit_kernel_hat(n: int) -> np.ndarray:
     unit box (L = 1, T = sqrt(3)); read-only, built once per N.
 
     With T = sqrt(3) L the spectrum on a box of side L is exactly L^2 times
-    this one.  The analytic truncated-kernel spectrum sampled straight onto
-    the (2N)^3 wavenumbers would periodize the kernel at period 2L, and
-    those periodic images pollute every pair separated by more than
-    (2 - sqrt(3)) L.  Instead the kernel is rendered on the (4N)^3 grid,
-    its real-space values on the difference range [-L, L)^3 are kept, and
-    those are transformed back at size (2N)^3.  The resulting circular
-    convolution with zero-padded data is the exact aperiodic sum over the
-    box.  T = sqrt(3) L spans the box diagonal, and the (4N)^3 rendering is
-    alias-free only for T < (4 - sqrt(3)) L, where the period 4L exceeds
-    sqrt(3) L + T.
+    this one, and ``coulomb`` applies that L^2 once, to its result.  The
+    analytic truncated-kernel spectrum sampled straight onto the (2N)^3
+    wavenumbers would periodize the kernel at period 2L, and those periodic
+    images pollute every pair separated by more than (2 - sqrt(3)) L.
+    Instead the kernel is rendered on the (4N)^3 grid, its real-space values
+    on the difference range [-L, L)^3 are kept, and those are transformed
+    back at size (2N)^3.  The resulting circular convolution with
+    zero-padded data is the exact aperiodic sum over the box.  T = sqrt(3) L
+    spans the box diagonal, and the (4N)^3 rendering is alias-free only for
+    T < (4 - sqrt(3)) L, where the period 4L exceeds sqrt(3) L + T.
 
     The (4N)^3 inverse runs in irfftn's own order, axis 0, axis 1, then the
     real axis 2, each pass cut to the 2N kept offsets before the next and
@@ -219,12 +224,12 @@ class SpectralWorkspace:
     ``coulomb`` has no boundary policy: data near the edge of the box is
     solved as given.  A workspace holds only its grid and the ``k2`` table;
     the Coulomb kernel is the unit-box kernel, built once per N per process
-    and shared read-only by every workspace of that N, scaled by L^2 slab by
-    slab inside each solve.  ``kernel_hat`` returns a fresh scaled copy, for
-    inspection only.  The first solve per N builds the shared unit kernel,
-    unguarded, so concurrent workers that reach an unbuilt N each build it.
-    Solves keep no scratch state, and fields are immutable and may move
-    between threads freely.
+    and shared read-only by every workspace of that N; each solve applies
+    the box's L^2 once, at the end.  ``kernel_hat`` returns a fresh scaled
+    copy, for inspection only.  The first solve per N builds the shared unit
+    kernel, unguarded, so concurrent workers that reach an unbuilt N each
+    build it.  Solves keep no scratch state, and fields are immutable and may
+    move between threads freely.
 
     A grid whose kernel build would need more than the host's physical
     memory raises MemoryError here, before anything is allocated.
@@ -261,18 +266,17 @@ class SpectralWorkspace:
         N+1).  The axis-0 and axis-1 passes act on each k_z column alone, so
         they run one slab of k_z columns at a time, at most
         _SOLVE_SLAB_BYTES of padded spectrum: pad and transform axis 0, then
-        axis 1; multiply by the slab's columns of L^2 times the unit kernel,
-        the products ``kernel_hat`` holds; invert axis 0 and axis 1, each
-        cut to its N kept outputs before the next; write the slab back.
-        Last come the inverse of axis 2 and the 1/(2N)^3, where irfftn
-        applies it.  Every 1-D transform and every kernel product is the one
-        the dense padded solve makes, so the result is that solve's bit for
-        bit; no transform runs over the all-zero rows, and no full
-        (2N)^2 (N+1) spectrum is ever made."""
+        axis 1; multiply in place by the slab's columns of the unit kernel;
+        invert axis 0 and axis 1, each cut to its N kept outputs before the
+        next; write the slab back.  Last come the inverse of axis 2 and one
+        product by L^2/(2N)^3.  The result is irfftn(rfftn(pad) * unit,
+        norm="forward") * L^2/(2N)^3 bit for bit, yet no transform runs over
+        the all-zero rows and no full (2N)^2 (N+1) spectrum is made.  A
+        power-of-two L^2 scales exactly, keeping the bits of the solve with
+        ``kernel_hat``; any other L moves them by ulps."""
         n = self.grid.n
         n2 = 2 * n
         unit = _unit_kernel_hat(n)
-        scale = self.grid.length**2
         # as few slabs as the budget allows, of near-equal width
         per_slab = max(1, _SOLVE_SLAB_BYTES // (16 * n2 * n2))
         width = -(-(n + 1) // -(-(n + 1) // per_slab))
@@ -281,7 +285,7 @@ class SpectralWorkspace:
             cols = slice(k0, k0 + width)
             part = sfft.fft(vhat[:, :, cols], n=n2, axis=0, workers=_FFT_WORKERS)
             part = sfft.fft(part, n=n2, axis=1, workers=_FFT_WORKERS)
-            part *= scale * unit[:, :, cols]
+            part *= unit[:, :, cols]
             part = sfft.ifft(part, axis=0, norm="forward", overwrite_x=True, workers=_FFT_WORKERS)
             part = sfft.ifft(part[:n], axis=1, norm="forward", overwrite_x=True, workers=_FFT_WORKERS)
             vhat[:, :, cols] = part[:, :n]
@@ -289,7 +293,7 @@ class SpectralWorkspace:
             # next slab's passes allocate theirs
             del part
         v = sfft.irfft(vhat, n=n2, axis=2, norm="forward", overwrite_x=True, workers=_FFT_WORKERS)
-        return v[..., :n] * (1.0 / n2**3)
+        return v[..., :n] * (self.grid.length**2 / n2**3)
 
 
 def lp_norm(values: np.ndarray, p: float, grid: Grid3) -> float:

@@ -221,8 +221,7 @@ def _normalized_flow(mu: float, objective, u0: np.ndarray, config: MinimizeConfi
 
 def _gaussian_trial(grid: Grid3, width: float, mu: float) -> np.ndarray:
     vals = np.exp(-grid.radius_sq() / (2.0 * width**2)).astype(np.complex128)
-    mass = float(np.sum(vals.real**2)) * grid.cell_volume
-    return vals * np.sqrt(mu / mass)
+    return _rescale_mass(vals, mu, grid.cell_volume)
 
 
 def _initial_states(
@@ -578,7 +577,7 @@ def spectral_floor(
     out = []
     for length in box_lengths:
         grid = Grid3(points_per_axis, float(length))
-        if isinstance(profile, ZeroProfile):
+        if isinstance(profile, ZeroProfile):  # the floor of -Delta on the periodic box is exactly 0
             out.append(FloorPoint(float(length), 0.0, True, 0))
             continue
         ws = SpectralWorkspace(grid)

@@ -65,10 +65,15 @@ class TestGrid3:
         assert k.max() < kmax
         assert k[0] == 0.0
 
-    @pytest.mark.parametrize("n", [7, 6, 0, 15])
+    @pytest.mark.parametrize("n", [7, 6, 0, 15, 32.0, 32.5, "32", None])
     def test_bad_sizes_rejected(self, n):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="grid size"):
             Grid3(n, 8.0)
+
+    @pytest.mark.parametrize("n", [np.int32(16), np.int64(16)])
+    def test_numpy_integer_size_is_stored_as_int(self, n):
+        grid = Grid3(n, 8.0)
+        assert grid == Grid3(16, 8.0) and type(grid.n) is int
 
     def test_nonpositive_length_rejected(self):
         with pytest.raises(ValueError):
@@ -190,14 +195,24 @@ class TestCoulombSolve:
         # The axis-wise, slab-wise transforms skip the zero half of the padded
         # input and the discarded outputs, and must still give the dense
         # result bit for bit.  N=24 pads to 48, which is not a power of two;
-        # L=24 makes the L^2 scaling inexact; N=64 runs in two slabs.
+        # L=24 makes L^2 inexact; N=64 runs in two slabs.
         ws = request.getfixturevalue(ws_name)
-        n = ws.grid.n
+        n, length = ws.grid.n, ws.grid.length
         f = rng.standard_normal((n,) * 3)
         pad = np.zeros((2 * n,) * 3)
         pad[:n, :n, :n] = f
-        dense = sfft.irfftn(sfft.rfftn(pad) * ws.kernel_hat, s=pad.shape)
-        assert np.array_equal(ws.coulomb(f), dense[:n, :n, :n])
+        dense = sfft.irfftn(sfft.rfftn(pad) * _unit_kernel_hat(n), s=pad.shape, norm="forward")
+        assert np.array_equal(ws.coulomb(f), dense[:n, :n, :n] * (length**2 / (2 * n) ** 3))
+
+    def test_box_scales_the_unit_solve_by_length_squared(self, rng):
+        # L^2 is applied once, to the result: exact for a power-of-two L^2,
+        # within rounding otherwise (N=24 makes L^2/(2N)^3 inexact at L=24)
+        f = rng.standard_normal((24,) * 3)
+        unit = SpectralWorkspace(Grid3(24, 1.0)).coulomb(f)
+        assert np.array_equal(SpectralWorkspace(Grid3(24, 16.0)).coulomb(f), 256.0 * unit)
+        v24 = SpectralWorkspace(Grid3(24, 24.0)).coulomb(f)
+        assert not np.array_equal(v24, 576.0 * unit)
+        assert np.max(np.abs(v24 / (576.0 * unit) - 1.0)) <= 1e-15
 
     def test_solve_transient_is_bounded_by_its_slabs(self, ws64, rng):
         # One full (2N)^2 (N+1) padded spectrum is 17 MB at N=64, and a solve
