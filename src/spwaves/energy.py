@@ -321,13 +321,11 @@ class ScalingEntry:
     name: str
     ratio_measured: float
     ratio_exact: float
-    exponent_measured: float | None
+    exponent_measured: float
     exponent_exact: float
 
     @property
     def exponent_error(self) -> float:
-        if self.exponent_measured is None:
-            return abs(self.ratio_measured - self.ratio_exact)
         return abs(self.exponent_measured - self.exponent_exact)
 
 
@@ -364,9 +362,10 @@ def scaling_check(
     and u_lam is sampled in closed form (never interpolated), so measured
     exponents isolate the quadrature and Coulomb-solve accuracy.  Reported
     exponents: mass 2a-3b, kinetic 2a-b, A1 4a-5b, S1 at the origin 2a-2b.
+    lam = 1 is rejected: a dilation by 1 measures no exponent.
     """
-    if not (0.0 < width < np.inf and 0.0 < lam < np.inf):
-        raise ValueError(f"width and lam must be positive and finite, got {width} and {lam}")
+    if not (0.0 < width < np.inf and 0.0 < lam < np.inf and lam != 1.0):
+        raise ValueError(f"width and lam must be positive and finite, lam != 1, got {width} and {lam}")
     if not np.all(np.isfinite((a, b))):
         raise ValueError(f"a and b must be finite, got {a} and {b}")
     if not (amplitude != 0.0 and np.isfinite(amplitude)):
@@ -391,7 +390,6 @@ def scaling_check(
     entries = []
     loglam = np.log(lam)
     for name, expo in exponents.items():
-        ratio = m1[name] / m0[name]
-        measured = None if lam == 1.0 else float(np.log(ratio) / loglam)
-        entries.append(ScalingEntry(name, float(ratio), float(lam**expo), measured, float(expo)))
+        ratio = float(m1[name] / m0[name])
+        entries.append(ScalingEntry(name, ratio, float(lam**expo), float(np.log(ratio) / loglam), float(expo)))
     return ScalingReport(a, b, lam, tuple(entries))

@@ -18,6 +18,7 @@ eigensolver (LOBPCG), not from the flow.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,8 +58,11 @@ __all__ = [
 TAU0, TAU_MIN, TAU_MAX = 0.1, 1e-7, 50.0
 # Halvings of a rejected step before the flow counts as stationary.
 BACKTRACK_MAX = 40
-# Iterations without an energy drop of energy_tol before the flow stops.
-STALL_ITERS = 100
+# The flow converges once |grad E + omega u|_2 / |u|_{H^1} < GRAD_TOL, and
+# stops after STALL_ITERS iterations without an energy drop of ENERGY_TOL.
+GRAD_TOL, ENERGY_TOL, STALL_ITERS = 1e-7, 1e-9, 100
+# An energy below -EPS_NEG counts as genuinely negative (mu_star).
+EPS_NEG = 10.0 * ENERGY_TOL
 # Shift alpha of the spectral floor's preconditioner (alpha - Delta)^-1.
 FLOOR_SHIFT = 0.05
 # Widths of the cold starts, as multiples of the width scan's best width.
@@ -75,26 +79,24 @@ class BracketError(ValueError):
 
 @dataclass(frozen=True)
 class MinimizeConfig:
-    """Settings of the normalized gradient flow.  A cold start runs one flow
-    from a real Gaussian of each of the first n_restarts START_WIDTHS and
-    keeps the lowest energy; a warm start (minimize_at_mass's start) runs
-    one flow whatever n_restarts says."""
+    """The flow's iteration cap and cold starts; its tolerances are module
+    constants.  A cold start runs one flow from a real Gaussian of each of
+    the first n_restarts START_WIDTHS and keeps the lowest energy; a warm
+    start (minimize_at_mass's start) runs one flow whatever n_restarts says."""
 
     max_iters: int = 4000
-    grad_tol: float = 1e-7  # on |grad E + omega u|_2 / |u|_{H^1}
-    energy_tol: float = 1e-9  # stall detection scale; eps_neg = 10x this
     n_restarts: int = 3
 
     def __post_init__(self):
-        if not all(t > 0.0 and np.isfinite(t) for t in (self.grad_tol, self.energy_tol)):
-            raise ValueError("tolerances must be positive and finite")
+        for name in ("max_iters", "n_restarts"):
+            try:
+                object.__setattr__(self, name, operator.index(getattr(self, name)))
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}") from None
+        if self.max_iters < 0:
+            raise ValueError(f"max_iters must be >= 0, got {self.max_iters}")
         if self.n_restarts not in range(1, len(START_WIDTHS) + 1):
             raise ValueError(f"n_restarts must lie in 1..{len(START_WIDTHS)}, got {self.n_restarts}")
-
-    @property
-    def eps_neg(self) -> float:
-        """Threshold below which an energy counts as genuinely negative."""
-        return 10.0 * self.energy_tol
 
 
 @dataclass(frozen=True)
@@ -108,7 +110,6 @@ class MinimizerResult:
     iterations: int
     converged: bool
     c_value: float
-    mu: float
 
 
 class _Objective:
@@ -178,7 +179,7 @@ def _normalized_flow(mu: float, objective, u0: np.ndarray, config: MinimizeConfi
     it = 0
 
     for it in range(1, config.max_iters + 1):
-        if _grad_residual(vals, grad, ksq, mu, dv) < config.grad_tol:
+        if _grad_residual(vals, grad, ksq, mu, dv) < GRAD_TOL:
             converged = True
             break
 
@@ -208,7 +209,7 @@ def _normalized_flow(mu: float, objective, u0: np.ndarray, config: MinimizeConfi
         vals = trial
         energy, grad, ksq = objective(vals, need_grad=True)
 
-        if stall_anchor - energy < config.energy_tol:
+        if stall_anchor - energy < ENERGY_TOL:
             stall_count += 1
             if stall_count >= STALL_ITERS:
                 break
@@ -283,7 +284,6 @@ def minimize_at_mass(
         iterations=best.iterations,
         converged=best.converged,
         c_value=bd.energy,
-        mu=mu,
     )
 
 
@@ -303,7 +303,7 @@ class CurvePoint:
 @dataclass(frozen=True)
 class CurveTable:
     points: tuple[CurvePoint, ...]
-    nonincreasing: bool  # within 2x energy tolerance
+    nonincreasing: bool  # within 2 ENERGY_TOL
 
 
 def c_curve(
@@ -346,7 +346,7 @@ def c_curve(
         prev_field = res.u_min
 
     cs = [p.c for p in points if np.isfinite(p.c)]
-    slack = 2.0 * config.energy_tol
+    slack = 2.0 * ENERGY_TOL
     nonincreasing = all(cs[i + 1] <= cs[i] + slack for i in range(len(cs) - 1))
     return CurveTable(tuple(points), nonincreasing)
 
@@ -368,9 +368,9 @@ def mu_star(
     tol: float,
     ws: SpectralWorkspace,
 ) -> MuStarResult:
-    """Bisection for mu* = inf{mu : c_inf(mu) < -eps_neg}.
+    """Bisection for mu* = inf{mu : c_inf(mu) < -EPS_NEG}.
 
-    The bracket must satisfy c_inf(low) >= -eps_neg and c_inf(high) < -eps_neg;
+    The bracket must satisfy c_inf(low) >= -EPS_NEG and c_inf(high) < -EPS_NEG;
     otherwise the measured endpoint energies are reported in the error.
     Bisection stops at width tol, or sooner once the midpoint rounds to an
     endpoint.
@@ -382,7 +382,6 @@ def mu_star(
     if not (tol > 0.0 and np.isfinite(tol)):
         raise ValueError(f"tol must be positive and finite, got {tol}")
     zero = ZeroProfile()
-    eps = config.eps_neg
     evals = 0
 
     def c_inf(m: float) -> float:
@@ -391,16 +390,16 @@ def mu_star(
         return minimize_at_mass(m, zero, params, config, ws).c_value
 
     e_lo, e_hi = c_inf(lo), c_inf(hi)
-    if not (e_lo >= -eps and e_hi < -eps):
+    if not (e_lo >= -EPS_NEG and e_hi < -EPS_NEG):
         raise BracketError(
             f"invalid bracket: c_inf({lo}) = {e_lo:.3e}, c_inf({hi}) = {e_hi:.3e}, "
-            f"eps_neg = {eps:.1e}"
+            f"EPS_NEG = {EPS_NEG:.1e}"
         )
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if mid in (lo, hi):
             break
-        if c_inf(mid) < -eps:
+        if c_inf(mid) < -EPS_NEG:
             hi = mid
         else:
             lo = mid
@@ -427,14 +426,13 @@ class HomogeneityPoint:
 
 @dataclass(frozen=True)
 class SubadditivityReport:
+    """All c values are upper bounds from a heuristic flow; the margins are
+    consistent-with checks, not proofs."""
+
     mu: float
     c_total: float
     splits: tuple[SplitPoint, ...]
     homogeneity: tuple[HomogeneityPoint, ...]
-    caveat: str = (
-        "all c values are upper bounds from a heuristic flow; margins are "
-        "consistent-with checks, not proofs"
-    )
 
 
 def subadditivity_scan(
@@ -488,7 +486,7 @@ def subadditivity_scan(
 @dataclass(frozen=True)
 class FloorPoint:
     """The floor on one box: the lowest eigenvalue, whether the eigensolver
-    met grad_tol, and how many of its iterations it ran."""
+    met GRAD_TOL, and how many of its iterations it ran."""
 
     box_length: float
     floor: float
@@ -506,7 +504,7 @@ def _lowest_eigenvalue(
     P = (FLOOR_SHIFT - Delta)^-1 (Antoine, Levitt & Tang, J. Comput. Phys.
     343, 2017) and p the previous direction, dropped when the Gram matrix is
     not positive definite.  It stops on the flow's residual for the quadratic
-    form <u, A u> at unit mass, so grad_tol and max_iters keep their meaning.
+    form <u, A u> at unit mass, so GRAD_TOL and max_iters keep their meaning.
     Returns (lambda, iterations, converged).
     """
     dv = ws.grid.cell_volume
@@ -537,7 +535,7 @@ def _lowest_eigenvalue(
     it = 0
     for it in range(1, config.max_iters + 1):
         ksq = lam - float(potential @ (x * x)) * dv  # int |grad x|^2 at unit mass
-        if _grad_residual(x, 2.0 * ax, ksq, 1.0, dv) < config.grad_tol:
+        if _grad_residual(x, 2.0 * ax, ksq, 1.0, dv) < GRAD_TOL:
             converged = True
             break
         w = filtered(precond, ax - lam * x)

@@ -428,11 +428,6 @@ class TestBrezisLiebSplitting:
 
 
 class TestScalingCheck:
-    def test_identity_scaling(self, ws32):
-        rep = scaling_check(1.0, 1.5, 1.0, 1.0, ws32)
-        for ent in rep.entries:
-            assert ent.ratio_measured == pytest.approx(1.0, rel=1e-12)
-
     def test_a1_exponents(self, ws64):
         rep = scaling_check(1.0, 1.5, 1.0, 2.0, ws64)
         ent = rep.entry("a1")
@@ -457,6 +452,8 @@ class TestScalingCheck:
             scaling_check(-1.0, 0.0, 1.0, 2.0, ws32)
         with pytest.raises(ValueError):
             scaling_check(1.0, 0.0, 1.0, -2.0, ws32)
+        with pytest.raises(ValueError, match="lam != 1"):  # a dilation by 1 measures no exponent
+            scaling_check(1.0, 1.5, 1.0, 1.0, ws32)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     @pytest.mark.parametrize("name", ["width", "a", "b", "lam", "amplitude"])

@@ -338,3 +338,6 @@ class TestBoundaryMass:
 
     def test_uniform_flagged(self, grid32):
         assert boundary_mass_fraction(np.ones((32,) * 3)) > 0.3
+
+    def test_zero_array_has_no_boundary_mass(self):
+        assert boundary_mass_fraction(np.zeros((16,) * 3)) == 0.0

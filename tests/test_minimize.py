@@ -1,7 +1,7 @@
 """Minimize module: the flow objective, the cold and warm starts, evaluation
-reuse in the flow, input checks, the sweeps' and the mu* bisection's
-bookkeeping around minimize_at_mass, and the spectral floor against a dense
-eigensolver."""
+reuse in the flow, the flow's exits, input checks, the sweeps' and the mu*
+bisection's bookkeeping around minimize_at_mass, and the spectral floor
+against a dense eigensolver."""
 
 from types import SimpleNamespace
 
@@ -59,17 +59,23 @@ def test_cold_starts_are_real_gaussians_of_the_start_widths():
         assert np.array_equal(vals, _gaussian_trial(grid, float(best) * factor, mu))
 
 
-@pytest.mark.parametrize("n_restarts", [0, -1, 6, 2.5])
+@pytest.mark.parametrize("n_restarts", [0, -1, 6, 2.5, 2.0, "2"])
 def test_n_restarts_outside_the_start_widths_is_rejected(n_restarts):
     with pytest.raises(ValueError, match="n_restarts"):
         MinimizeConfig(n_restarts=n_restarts)
 
 
-@pytest.mark.parametrize("name", ["grad_tol", "energy_tol"])
-@pytest.mark.parametrize("value", [float("nan"), float("inf")])
-def test_tolerance_that_is_not_finite_is_rejected(name, value):
-    with pytest.raises(ValueError, match="positive and finite"):
-        MinimizeConfig(**{name: value})
+@pytest.mark.parametrize("max_iters", [-1, 2.5, "3", None])
+def test_max_iters_that_is_not_a_nonnegative_integer_is_rejected(max_iters):
+    with pytest.raises(ValueError, match="max_iters"):
+        MinimizeConfig(max_iters=max_iters)
+
+
+@pytest.mark.parametrize("n", [np.int32(2), np.int64(2)])
+def test_numpy_integer_counts_are_stored_as_int(n):
+    config = MinimizeConfig(max_iters=n, n_restarts=n)
+    assert type(config.max_iters) is type(config.n_restarts) is int
+    assert config.max_iters == config.n_restarts == 2
 
 
 def test_cold_restarts_are_deterministic():
@@ -163,6 +169,57 @@ def test_flow_computes_each_energy_once(grid24, monkeypatch):
     assert counts["energy_terms"] == counts["evaluations"] > state.iterations
 
 
+def _flow_case(n=16, length=8.0, mu=10.0):
+    """The objective of Gaussian(1, 1) doping at p=2.1, e=0.3 on an n-point
+    box, and the real Gaussian start of width 1.5 at mass mu."""
+    grid = Grid3(n, length)
+    objective = _Objective(GaussianProfile(1.0, 1.0), PhysParams(2.1, 0.3), SpectralWorkspace(grid))
+    return objective, _gaussian_trial(grid, 1.5, mu)
+
+
+def test_flow_converges_at_grad_tol():
+    config = MinimizeConfig(n_restarts=1)
+    ws = SpectralWorkspace(Grid3(16, 8.0))
+    res = minimize_at_mass(10.0, GaussianProfile(1.0, 1.0), PhysParams(2.1, 0.3), config, ws)
+    assert res.converged and res.iterations < config.max_iters
+    assert res.residuals["gradient"] < minimize.GRAD_TOL
+
+
+def test_flow_stops_after_stall_iters_without_an_energy_drop(monkeypatch):
+    monkeypatch.setattr(minimize, "ENERGY_TOL", 1e3)  # no drop counts
+    monkeypatch.setattr(minimize, "STALL_ITERS", 5)
+    objective, u0 = _flow_case()
+    state = _normalized_flow(10.0, objective, u0, MinimizeConfig())
+    assert (state.iterations, state.converged) == (5, False)
+
+
+def test_flow_without_a_descending_trial_stops_in_its_first_iteration():
+    objective, u0 = _flow_case()
+    grad = objective(u0, need_grad=True)[1]
+    trials = []
+
+    def never_descends(vals, need_grad):
+        trials.append(need_grad)
+        return (0.0, grad, 1.0) if need_grad else (1.0, None, 1.0)
+
+    never_descends.dv = objective.dv
+    state = _normalized_flow(10.0, never_descends, u0, MinimizeConfig())
+    assert (state.iterations, state.converged) == (1, False)
+    assert trials == [True] + [False] * minimize.BACKTRACK_MAX
+
+
+def test_warm_start_without_mass_aborts(grid24, ws24):
+    zero = ComplexField(grid24, np.zeros((24,) * 3))
+    with pytest.raises(NumericalAbort, match="lost all mass"):
+        minimize_at_mass(1.0, ZeroProfile(), PhysParams(2.1, 0.3), MinimizeConfig(), ws24, start=zero)
+
+
+def test_objective_of_a_nan_state_aborts():
+    objective, u0 = _flow_case()
+    with pytest.raises(NumericalAbort, match="non-finite"):
+        objective(np.full_like(u0, np.nan), need_grad=False)
+
+
 def test_c_curve_restarts_cold_after_an_abort(grid24, monkeypatch):
     first = ComplexField(grid24, np.ones((24,) * 3, dtype=complex))
     calls = []
@@ -201,15 +258,15 @@ def _fake_curve(monkeypatch, c_values):
 @pytest.mark.parametrize(
     "c_values, nonincreasing",
     [
-        ((-1.0, -1.0 + 3e-9), False),  # a rise of 3 energy_tol
-        ((-1.0, -1.0 + 1e-9), True),  # a rise of 1 energy_tol
+        ((-1.0, -1.0 + 3 * minimize.ENERGY_TOL), False),  # a rise of 3 ENERGY_TOL
+        ((-1.0, -1.0 + minimize.ENERGY_TOL), True),  # a rise of 1 ENERGY_TOL
         ((-1.0, None, -2.0), True),  # the aborted row is skipped
-        ((-1.0, None, -1.0 + 3e-9), False),  # and does not hide a rise across it
+        ((-1.0, None, -1.0 + 3 * minimize.ENERGY_TOL), False),  # and does not hide a rise across it
     ],
 )
 def test_c_curve_nonincreasing_allows_twice_energy_tol(c_values, nonincreasing, ws24, monkeypatch):
     _fake_curve(monkeypatch, c_values)
-    config = MinimizeConfig(energy_tol=1e-9)
+    config = MinimizeConfig()
     mus = [float(k) for k in range(1, len(c_values) + 1)]
     table = c_curve(mus, ZeroProfile(), PhysParams(2.1, 0.3), config, ws24)
     assert [np.isnan(p.c) for p in table.points] == [c is None for c in c_values]
@@ -227,6 +284,24 @@ def test_mass_that_is_not_finite_is_rejected_before_solving(mu, ws24, monkeypatc
         c_curve([mu], prof, params, config, ws24)
     with pytest.raises(ValueError, match="positive and finite"):
         subadditivity_scan(mu, (0.5,), prof, params, config, ws24)
+    assert calls == []
+
+
+def test_c_curve_rejects_unsorted_masses_before_solving(ws24, monkeypatch):
+    calls = []
+    monkeypatch.setattr(minimize, "minimize_at_mass", lambda *args, **kwargs: calls.append(args))
+    with pytest.raises(ValueError, match="sorted ascending"):
+        c_curve([2.0, 1.0], ZeroProfile(), PhysParams(2.1, 0.3), MinimizeConfig(), ws24)
+    assert calls == []
+
+
+@pytest.mark.parametrize("fraction", [0.0, 1.0, -0.5, 1.5])
+def test_subadditivity_scan_rejects_a_split_outside_the_unit_interval(fraction, ws24, monkeypatch):
+    calls = []
+    monkeypatch.setattr(minimize, "minimize_at_mass", lambda *args: calls.append(args))
+    prof, params = GaussianProfile(1.0, 1.0), PhysParams(2.1, 0.3)
+    with pytest.raises(ValueError, match="split fractions"):
+        subadditivity_scan(10.0, (0.5, fraction), prof, params, MinimizeConfig(), ws24)
     assert calls == []
 
 
@@ -291,9 +366,9 @@ def test_mu_star_bisects_to_the_threshold(ws24, monkeypatch):
     calls = _fake_c_inf(monkeypatch, 3.7)
     config, tol = MinimizeConfig(), 1.0 / 64.0
     res = mu_star(PhysParams(2.1, 0.3), config, (1.0, 9.0), tol, ws24)
-    # c_inf(mu) < -eps_neg exactly when mu > 3.7 + eps_neg
-    assert abs(res.value - (3.7 + config.eps_neg)) <= tol
-    assert res.bracket_low <= 3.7 + config.eps_neg < res.bracket_high
+    # c_inf(mu) < -EPS_NEG exactly when mu > 3.7 + EPS_NEG
+    assert abs(res.value - (3.7 + minimize.EPS_NEG)) <= tol
+    assert res.bracket_low <= 3.7 + minimize.EPS_NEG < res.bracket_high
     assert res.bracket_high - res.bracket_low <= tol
     assert (res.energy_low, res.energy_high) == (3.7 - 1.0, 3.7 - 9.0)
     # the width 8 halves 9 times to 1/64
@@ -316,7 +391,7 @@ def test_mu_star_stops_at_the_float_spacing(ws24, monkeypatch):
     assert res.evaluations == len(calls) <= 2 + 60
     # the bracket ends as two adjacent floats around the threshold
     assert res.bracket_high == np.nextafter(res.bracket_low, np.inf)
-    assert res.bracket_low <= 3.7 + config.eps_neg < res.bracket_high
+    assert res.bracket_low <= 3.7 + minimize.EPS_NEG < res.bracket_high
 
 
 def _dense_floor(grid, potential):

@@ -46,6 +46,8 @@ class TestProfileValidation:
         with pytest.raises(ValueError):
             BallsProfile((a, b))
         BallsProfile((a, BallSpec((3.0, 0.0, 0.0), 1.0, 1.0)))
+        with pytest.raises(ValueError, match="at least one ball"):
+            BallsProfile(())
 
     def test_ball_positive_radius(self):
         with pytest.raises(ValueError):
