@@ -65,8 +65,6 @@ GRAD_TOL, ENERGY_TOL, STALL_ITERS = 1e-7, 1e-9, 100
 EPS_NEG = 10.0 * ENERGY_TOL
 # Shift alpha of the spectral floor's preconditioner (alpha - Delta)^-1.
 FLOOR_SHIFT = 0.05
-# Widths of the cold starts, as multiples of the width scan's best width.
-START_WIDTHS = (1.0, 0.6, 1.7, 0.35, 2.8)
 
 
 class NumericalAbort(RuntimeError):
@@ -79,13 +77,13 @@ class BracketError(ValueError):
 
 @dataclass(frozen=True)
 class MinimizeConfig:
-    """The flow's iteration cap and cold starts; its tolerances are module
-    constants.  A cold start runs one flow from a real Gaussian of each of
-    the first n_restarts START_WIDTHS and keeps the lowest energy; a warm
-    start (minimize_at_mass's start) runs one flow whatever n_restarts says."""
+    """The flow's iteration cap; its tolerances are module constants.
+
+    Every solve runs one flow, so n_restarts admits only 1.  The field stays
+    while the benchmark's ground workload still passes n_restarts=1."""
 
     max_iters: int = 4000
-    n_restarts: int = 3
+    n_restarts: int = 1
 
     def __post_init__(self):
         for name in ("max_iters", "n_restarts"):
@@ -95,8 +93,8 @@ class MinimizeConfig:
                 raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}") from None
         if self.max_iters < 0:
             raise ValueError(f"max_iters must be >= 0, got {self.max_iters}")
-        if self.n_restarts not in range(1, len(START_WIDTHS) + 1):
-            raise ValueError(f"n_restarts must lie in 1..{len(START_WIDTHS)}, got {self.n_restarts}")
+        if self.n_restarts != 1:
+            raise ValueError(f"n_restarts must be 1 (every solve runs one flow), got {self.n_restarts}")
 
 
 @dataclass(frozen=True)
@@ -107,7 +105,7 @@ class MinimizerResult:
     breakdown: EnergyBreakdown
     omega: float
     residuals: dict[str, float]  # normalized nehari/pohozaev/lemma23 + gradient
-    iterations: int
+    iterations: int  # accepted flow steps
     converged: bool
     c_value: float
 
@@ -140,8 +138,7 @@ class _Objective:
 @dataclass
 class _FlowState:
     vals: np.ndarray
-    energy: float
-    iterations: int
+    iterations: int  # accepted steps
     converged: bool
     grad_res: float
 
@@ -176,9 +173,9 @@ def _normalized_flow(mu: float, objective, u0: np.ndarray, config: MinimizeConfi
     stall_anchor = energy
     stall_count = 0
     converged = False
-    it = 0
+    steps = 0
 
-    for it in range(1, config.max_iters + 1):
+    while steps < config.max_iters:
         if _grad_residual(vals, grad, ksq, mu, dv) < GRAD_TOL:
             converged = True
             break
@@ -204,6 +201,7 @@ def _normalized_flow(mu: float, objective, u0: np.ndarray, config: MinimizeConfi
         if not accepted:
             break  # numerically stationary: no descent direction at any step
         tau = trial_tau
+        steps += 1
 
         prev_vals, prev_grad = vals, grad
         vals = trial
@@ -217,7 +215,7 @@ def _normalized_flow(mu: float, objective, u0: np.ndarray, config: MinimizeConfi
             stall_anchor = energy
             stall_count = 0
 
-    return _FlowState(vals, energy, it, converged, _grad_residual(vals, grad, ksq, mu, dv))
+    return _FlowState(vals, steps, converged, _grad_residual(vals, grad, ksq, mu, dv))
 
 
 def _gaussian_trial(grid: Grid3, width: float, mu: float) -> np.ndarray:
@@ -225,19 +223,13 @@ def _gaussian_trial(grid: Grid3, width: float, mu: float) -> np.ndarray:
     return _rescale_mass(vals, mu, grid.cell_volume)
 
 
-def _initial_states(
-    mu: float, objective: _Objective, config: MinimizeConfig, start: ComplexField | None
-) -> list[np.ndarray]:
+def _cold_start(mu: float, objective: _Objective) -> np.ndarray:
+    """Of ten real Gaussians at mass mu, with widths from 3h to L/5, the one
+    with the lowest energy."""
     grid = objective.ws.grid
-    if start is not None:
-        grid.require_same(start.grid)
-        return [start.values]
-
-    # gaussian: of ten widths from 3h to L/5, the one with the lowest trial energy, then fan out
     widths = np.geomspace(3.0 * grid.spacing, grid.length / 5.0, 10)
     energies = [objective(_gaussian_trial(grid, w, mu), need_grad=False)[0] for w in widths]
-    best_width = float(widths[int(np.argmin(energies))])
-    return [_gaussian_trial(grid, best_width * f, mu) for f in START_WIDTHS[: config.n_restarts]]
+    return _gaussian_trial(grid, float(widths[int(np.argmin(energies))]), mu)
 
 
 def minimize_at_mass(
@@ -250,39 +242,38 @@ def minimize_at_mass(
 ) -> MinimizerResult:
     """Normalized-gradient-flow upper bound for c(mu), with diagnostics.
 
-    With start given, one flow runs from it, rescaled to mass mu (a warm
-    start); otherwise the cold starts of MinimizeConfig run.  A start on
-    another grid than the workspace raises GridMismatchError.
-    Non-convergence is reported through the flag, never raised; a NaN in
-    the energy aborts with NumericalAbort.
+    One flow runs: from start, rescaled to mass mu, if given (a warm
+    start), otherwise from the real Gaussian of lowest energy among ten
+    widths (a cold start).  A start on another grid than the workspace
+    raises GridMismatchError.  Non-convergence is reported through the
+    flag, never raised; a NaN in the energy aborts with NumericalAbort.
     """
     if not (mu > 0.0 and np.isfinite(mu)):
         raise ValueError(f"mass must be positive and finite, got {mu}")
     objective = _Objective(profile, params, ws)
-    states = _initial_states(mu, objective, config, start)
+    if start is None:
+        u0 = _cold_start(mu, objective)
+    else:
+        ws.grid.require_same(start.grid)
+        u0 = start.values
+    state = _normalized_flow(mu, objective, u0, config)
 
-    best: _FlowState | None = None
-    for u0 in states:
-        state = _normalized_flow(mu, objective, u0, config)
-        if best is None or state.energy < best.energy:
-            best = state
-
-    u = ComplexField(ws.grid, best.vals)
+    u = ComplexField(ws.grid, state.vals)
     bd = energy_breakdown(u, profile, params, ws)
     omega = lagrange_multiplier(bd)
     residuals = {
         "nehari": nehari_residual(bd, omega).normalized,
         "pohozaev": pohozaev_residual(bd, omega).normalized,
         "lemma23": lemma23_residual(bd, omega).normalized,
-        "gradient": best.grad_res,
+        "gradient": state.grad_res,
     }
     return MinimizerResult(
         u_min=u,
         breakdown=bd,
         omega=omega,
         residuals=residuals,
-        iterations=best.iterations,
-        converged=best.converged,
+        iterations=state.iterations,
+        converged=state.converged,
         c_value=bd.energy,
     )
 
@@ -486,7 +477,7 @@ def subadditivity_scan(
 @dataclass(frozen=True)
 class FloorPoint:
     """The floor on one box: the lowest eigenvalue, whether the eigensolver
-    met GRAD_TOL, and how many of its iterations it ran."""
+    met GRAD_TOL, and how many times it updated the eigenvector."""
 
     box_length: float
     floor: float
@@ -505,7 +496,7 @@ def _lowest_eigenvalue(
     343, 2017) and p the previous direction, dropped when the Gram matrix is
     not positive definite.  It stops on the flow's residual for the quadratic
     form <u, A u> at unit mass, so GRAD_TOL and max_iters keep their meaning.
-    Returns (lambda, iterations, converged).
+    Returns (lambda, the number of updates of x, converged).
     """
     dv = ws.grid.cell_volume
     precond = 1.0 / (FLOOR_SHIFT + ws.k2)
@@ -532,8 +523,8 @@ def _lowest_eigenvalue(
     lam = rayleigh(x, ax)
     prev: tuple[np.ndarray, ...] = ()  # (p, A p) once there is a previous direction
     converged = False
-    it = 0
-    for it in range(1, config.max_iters + 1):
+    updates = 0
+    while updates < config.max_iters:
         ksq = lam - float(potential @ (x * x)) * dv  # int |grad x|^2 at unit mass
         if _grad_residual(x, 2.0 * ax, ksq, 1.0, dv) < GRAD_TOL:
             converged = True
@@ -552,7 +543,8 @@ def _lowest_eigenvalue(
         prev = unit(coef[1:] @ basis[1:], coef[1:] @ abasis[1:])
         x, ax = unit(coef @ basis, coef @ abasis)
         lam = rayleigh(x, ax)
-    return lam, it, converged
+        updates += 1
+    return lam, updates, converged
 
 
 def spectral_floor(
@@ -565,10 +557,10 @@ def spectral_floor(
     """Lowest eigenvalue of -Delta + 2 e^2 S2 on boxes of growing size.
 
     Each floor comes from a preconditioned eigensolver (LOBPCG) started from
-    a Gaussian of width L/8, and FloorPoint.iterations counts its
-    iterations; the sequence of floors across box sizes probes whether the
-    doping well binds a state (floor stays negative) or not (floor drains to
-    zero).
+    a Gaussian of width L/8, and FloorPoint.iterations counts its updates of
+    the eigenvector; the sequence of floors across box sizes probes whether
+    the doping well binds a state (floor stays negative) or not (floor
+    drains to zero).
     """
     if not (0.0 < e < np.inf):
         raise ValueError(f"coupling must be positive and finite, got {e}")

@@ -33,6 +33,9 @@ __all__ = [
     "a3_boundary",
 ]
 
+# Nodes per sphere of a3_boundary's Gauss-Legendre x trapezoid quadrature.
+SPHERE_N_THETA, SPHERE_N_PHI = 32, 64
+
 
 class UnsupportedDerivativeError(ValueError):
     """x . grad(rho) requested for a profile that is not weakly differentiable."""
@@ -175,9 +178,12 @@ def powerlaw_tail_bound(profile: PowerLawProfile, grid: Grid3) -> float:
     """Bound for the part of ||x.grad rho||_{6/5} lost outside the box.
 
     |x.grad rho| <= alpha eps / (1+r)^alpha, so the missing tail integral
-    from R = L/2 outward has the closed form below (finite since alpha > 2
-    gives 6 alpha / 5 > 3 after adding the r^2 volume factor).
+    from R = L/2 outward has the closed form below.  With the r^2 volume
+    factor it is finite only for 6 alpha / 5 > 3, that is alpha > 5/2; for
+    alpha <= 5/2, x.grad rho ~ r^-alpha is not in L^{6/5} and the bound is inf.
     """
+    if profile.alpha <= 2.5:
+        return np.inf
     p = 1.2
     a = profile.alpha * p
     r0 = grid.length / 2.0
@@ -265,8 +271,6 @@ def a3_boundary(
     s1: np.ndarray,
     grid: Grid3,
     balls: tuple[BallSpec, ...] | list[BallSpec],
-    n_theta: int = 32,
-    n_phi: int = 64,
 ) -> float:
     """Boundary form of the dilation functional for indicator profiles, from
     the samples s1 of S1 on grid:
@@ -274,7 +278,7 @@ def a3_boundary(
         -(1/2) sum_i alpha_i  surf_int_{|x-c_i|=R_i}  S1 (x . n) dS.
     """
     grid.require_shape(s1)
-    dirs, weights = _sphere_quadrature(n_theta, n_phi)
+    dirs, weights = _sphere_quadrature(SPHERE_N_THETA, SPHERE_N_PHI)
     total = 0.0
     for ball in balls:
         _check_ball_in_box(ball, grid)

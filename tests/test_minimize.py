@@ -18,8 +18,8 @@ from spwaves.minimize import (
     NumericalAbort,
     SplitPoint,
     SubadditivityReport,
+    _cold_start,
     _gaussian_trial,
-    _initial_states,
     _normalized_flow,
     _Objective,
     c_curve,
@@ -46,23 +46,28 @@ def test_objective_matches_breakdown_and_gradient(grid32, ws32, rng):
     assert energy_only == energy and no_grad is None
 
 
-def test_cold_starts_are_real_gaussians_of_the_start_widths():
+def test_cold_start_is_the_real_gaussian_of_lowest_energy():
     grid = Grid3(16, 8.0)
     objective = _Objective(GaussianProfile(1.0, 1.0), PhysParams(2.1, 0.3), SpectralWorkspace(grid))
     mu = 100.0
     widths = np.geomspace(3.0 * grid.spacing, grid.length / 5.0, 10)
     best = min(widths, key=lambda w: objective(_gaussian_trial(grid, w, mu), need_grad=False)[0])
-    states = _initial_states(mu, objective, MinimizeConfig(n_restarts=3), None)
-    assert len(states) == 3
-    for vals, factor in zip(states, (1.0, 0.6, 1.7)):
-        assert not np.any(vals.imag)
-        assert np.array_equal(vals, _gaussian_trial(grid, float(best) * factor, mu))
+    vals = _cold_start(mu, objective)
+    assert not np.any(vals.imag)
+    assert np.array_equal(vals, _gaussian_trial(grid, float(best), mu))
 
 
-@pytest.mark.parametrize("n_restarts", [0, -1, 6, 2.5, 2.0, "2"])
+# Every solve runs one flow, so every count of starts but 1 is rejected.
+@pytest.mark.parametrize("n_restarts", [0, -1, 3, 5, 6, 2.5, 2.0, "2"])
 def test_n_restarts_outside_the_start_widths_is_rejected(n_restarts):
     with pytest.raises(ValueError, match="n_restarts"):
         MinimizeConfig(n_restarts=n_restarts)
+
+
+def test_default_config_runs_one_flow():
+    assert MinimizeConfig() == MinimizeConfig(n_restarts=1) == MinimizeConfig(n_restarts=np.int64(1))
+    with pytest.raises(ValueError, match="n_restarts"):
+        MinimizeConfig(n_restarts=2)
 
 
 @pytest.mark.parametrize("max_iters", [-1, 2.5, "3", None])
@@ -73,14 +78,14 @@ def test_max_iters_that_is_not_a_nonnegative_integer_is_rejected(max_iters):
 
 @pytest.mark.parametrize("n", [np.int32(2), np.int64(2)])
 def test_numpy_integer_counts_are_stored_as_int(n):
-    config = MinimizeConfig(max_iters=n, n_restarts=n)
+    config = MinimizeConfig(max_iters=n, n_restarts=type(n)(1))
     assert type(config.max_iters) is type(config.n_restarts) is int
-    assert config.max_iters == config.n_restarts == 2
+    assert (config.max_iters, config.n_restarts) == (2, 1)
 
 
 def test_cold_restarts_are_deterministic():
     ws = SpectralWorkspace(Grid3(16, 8.0))
-    config = MinimizeConfig(n_restarts=3, max_iters=20)
+    config = MinimizeConfig(max_iters=20)
     runs = [minimize_at_mass(100.0, GaussianProfile(1.0, 1.0), PhysParams(2.1, 0.3), config, ws) for _ in range(2)]
     assert np.array_equal(runs[0].u_min.values, runs[1].u_min.values)
 
@@ -88,7 +93,7 @@ def test_cold_restarts_are_deterministic():
 def test_warm_start_is_the_start_of_a_zero_iteration_flow(grid32, ws32, rng):
     f = ComplexField(grid32, smooth_random_complex(grid32, rng))
     mu = 100.0
-    config = MinimizeConfig(n_restarts=3, max_iters=0)  # a warm start ignores n_restarts
+    config = MinimizeConfig(max_iters=0)
     res = minimize_at_mass(mu, GaussianProfile(1.0, 1.0), PhysParams(2.1, 0.3), config, ws32, start=f)
     assert res.iterations == 0
     assert abs(res.breakdown.mass - mu) <= 1e-12 * mu
@@ -104,16 +109,18 @@ def test_warm_start_on_another_grid_is_rejected(grid24, ws32):
 
 
 class _Calls:
-    """Counts the flow's trial evaluations (need_grad=False); with copy=True it
-    hands the objective a copy of every state, so nothing can be reused."""
+    """Counts the flow's trial (need_grad=False) and gradient evaluations;
+    with copy=True it hands the objective a copy of every state, so nothing
+    can be reused."""
 
-    def __init__(self, objective, copy):
+    def __init__(self, objective, copy=False):
         self.objective, self.copy = objective, copy
         self.dv = objective.dv
-        self.trials = 0
+        self.trials = self.grads = 0
 
     def __call__(self, vals, need_grad):
         self.trials += not need_grad
+        self.grads += need_grad
         return self.objective(vals.copy() if self.copy else vals, need_grad)
 
 
@@ -141,7 +148,6 @@ def test_flow_reuses_the_accepted_trial(grid24):
     copied_solves, solves[0] = solves[0], 0
     reused = _normalized_flow(mu, reused_obj, u0, config)
     assert np.array_equal(reused.vals, copied.vals)
-    assert reused.energy == copied.energy
     assert reused.iterations == copied.iterations == config.max_iters
     # one solve per trial plus the start; the copies also pay one per accepted step
     assert reused_obj.trials == copied_obj.trials
@@ -178,7 +184,7 @@ def _flow_case(n=16, length=8.0, mu=10.0):
 
 
 def test_flow_converges_at_grad_tol():
-    config = MinimizeConfig(n_restarts=1)
+    config = MinimizeConfig()
     ws = SpectralWorkspace(Grid3(16, 8.0))
     res = minimize_at_mass(10.0, GaussianProfile(1.0, 1.0), PhysParams(2.1, 0.3), config, ws)
     assert res.converged and res.iterations < config.max_iters
@@ -193,19 +199,41 @@ def test_flow_stops_after_stall_iters_without_an_energy_drop(monkeypatch):
     assert (state.iterations, state.converged) == (5, False)
 
 
-def test_flow_without_a_descending_trial_stops_in_its_first_iteration():
-    objective, u0 = _flow_case()
+def _never_descends(objective, u0):
+    """An objective whose every trial lies above the start u0."""
     grad = objective(u0, need_grad=True)[1]
-    trials = []
 
     def never_descends(vals, need_grad):
-        trials.append(need_grad)
         return (0.0, grad, 1.0) if need_grad else (1.0, None, 1.0)
 
     never_descends.dv = objective.dv
-    state = _normalized_flow(10.0, never_descends, u0, MinimizeConfig())
-    assert (state.iterations, state.converged) == (1, False)
-    assert trials == [True] + [False] * minimize.BACKTRACK_MAX
+    return never_descends
+
+
+def test_flow_without_a_descending_trial_stops_in_its_first_iteration():
+    objective, u0 = _flow_case()
+    calls = _Calls(_never_descends(objective, u0))
+    state = _normalized_flow(10.0, calls, u0, MinimizeConfig())
+    assert (state.iterations, state.converged) == (0, False)
+    assert (calls.grads, calls.trials) == (1, minimize.BACKTRACK_MAX)
+
+
+@pytest.mark.parametrize("exit", ["converged", "stall", "no_descent", "cap"])
+def test_flow_iterations_count_the_accepted_steps_on_every_exit(exit, monkeypatch):
+    # the start and every accepted step each take one gradient
+    objective, u0 = _flow_case()
+    config = MinimizeConfig(max_iters=3 if exit == "cap" else 4000)
+    if exit == "stall":
+        monkeypatch.setattr(minimize, "ENERGY_TOL", 1e3)
+        monkeypatch.setattr(minimize, "STALL_ITERS", 5)
+    elif exit == "no_descent":
+        objective = _never_descends(objective, u0)
+    calls = _Calls(objective)
+    state = _normalized_flow(10.0, calls, u0, config)
+    assert state.iterations == calls.grads - 1
+    assert state.converged is (exit == "converged")
+    if exit != "converged":
+        assert state.iterations == {"stall": 5, "no_descent": 0, "cap": 3}[exit]
 
 
 def test_warm_start_without_mass_aborts(grid24, ws24):
@@ -417,6 +445,25 @@ def test_spectral_floor_matches_dense_eigenvalue(n):
     grid = Grid3(n, length)
     dense = _dense_floor(grid, 2.0 * e**2 * profile_fields(prof, SpectralWorkspace(grid)).s2)
     assert pt.converged and pt.box_length == length
+    assert abs(pt.floor - dense) <= 1e-9 * abs(dense)
+
+
+def test_spectral_floor_without_the_previous_direction_matches_dense_eigenvalue(monkeypatch):
+    # every 3x3 Gram matrix counts as singular, so each update drops p
+    cholesky, rejected = np.linalg.cholesky, []
+
+    def rejects_three(gram):
+        if gram.shape == (3, 3):
+            rejected.append(gram)
+            raise np.linalg.LinAlgError("rejected")
+        return cholesky(gram)
+
+    monkeypatch.setattr(np.linalg, "cholesky", rejects_three)
+    prof, e, length, n = GaussianProfile(1.0, 1.0), 0.3, 8.0, 8
+    (pt,) = spectral_floor(prof, e, (length,), MinimizeConfig(), n)
+    grid = Grid3(n, length)
+    dense = _dense_floor(grid, 2.0 * e**2 * profile_fields(prof, SpectralWorkspace(grid)).s2)
+    assert pt.converged and len(rejected) == pt.iterations - 1 > 0
     assert abs(pt.floor - dense) <= 1e-9 * abs(dense)
 
 

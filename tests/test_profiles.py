@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from spwaves import profiles
 from spwaves.grid import Grid3
 from spwaves.profiles import (
     BallGeometry,
@@ -176,6 +177,16 @@ class TestRhoNorms:
         # bound shrinks when the box grows
         assert powerlaw_tail_bound(prof, Grid3(64, 32.0)) < bound
 
+    def test_powerlaw_tail_bound_closed_form(self, grid64):
+        # alpha = 3: ((3 eps)^{6/5} 4 pi (1 + L/2)^{-3/5} / (3/5))^{5/6}
+        tail = 3.0**1.2 * 4.0 * np.pi * (1.0 + grid64.length / 2.0) ** -0.6 / 0.6
+        assert powerlaw_tail_bound(PowerLawProfile(1.0, 3.0), grid64) == pytest.approx(tail ** (1.0 / 1.2), rel=1e-12)
+
+    @pytest.mark.parametrize("alpha", [2.2, 2.5])
+    def test_powerlaw_tail_bound_is_infinite_up_to_five_halves(self, alpha, grid64):
+        # x.grad rho decays like r^-alpha, which is in L^{6/5} only for alpha > 5/2
+        assert powerlaw_tail_bound(PowerLawProfile(1.0, alpha), grid64) == np.inf
+
 
 class TestBallGeometry:
     def test_unit_ball_closed_forms(self):
@@ -227,14 +238,16 @@ class TestA3Boundary:
         got = a3_boundary(f, grid64, balls)
         assert got == pytest.approx(expected, rel=1e-6)
 
-    def test_richardson_node_refinement(self, grid64):
+    def test_richardson_node_refinement(self, grid64, monkeypatch):
         # smooth nonconstant field: doubling both node counts should not
         # move the value beyond the trilinear-interpolation noise floor
         r2 = grid64.radius_sq()
         f = np.exp(-r2 / 4.0)
         balls = [BallSpec((0.0, 0.0, 0.0), 1.25, 1.0)]
-        coarse = a3_boundary(f, grid64, balls, 32, 64)
-        fine = a3_boundary(f, grid64, balls, 64, 128)
+        coarse = a3_boundary(f, grid64, balls)
+        monkeypatch.setattr(profiles, "SPHERE_N_THETA", 2 * profiles.SPHERE_N_THETA)
+        monkeypatch.setattr(profiles, "SPHERE_N_PHI", 2 * profiles.SPHERE_N_PHI)
+        fine = a3_boundary(f, grid64, balls)
         assert coarse == pytest.approx(fine, rel=1e-4)
 
     def test_wrongly_shaped_s1_rejected(self, grid64):
