@@ -11,7 +11,17 @@ S1(u) = (-Delta)^{-1}(|u|^2/2) and S2 = (-Delta)^{-1}(-rho/2):
     A1 = 1/4 int S1(u) |u|^2      (self-repulsion, >= 0)
     A2 = 1/4 int S2 |u|^2         (= -1/4 int S1(u) rho by symmetry, <= 0)
     A0 = -1/4 int S2 rho          (state-independent)
-    A3 = 1/2 int S1(u) x.grad rho (dilation term; boundary form for balls).
+    A3 = 1/2 int S1(u) x.grad rho (dilation term of the Pohozaev identity).
+
+A3 is computed from S2 alone, for every doping, indicators included:
+
+    A3 = int |u|^2 (S2 - 1/2 x.grad S2).
+
+With P = G*rho = -2 S2 and G = 1/(4 pi |x|), the symmetry of G gives
+int S1 x.grad rho = 1/2 int |u|^2 G*(x.grad rho), and since G is homogeneous
+of degree -1, G*(x.grad rho) = x.grad P - 2P.  On the grid A3 is built
+from the same sampled S2 as A0 and A2, with no second model of rho, so the
+Pohozaev residual converges with box and grid whatever the doping.
 
 For rho = 0 the same code gives S2 = +0.0 everywhere and A0 = A2 = A3 = 0,
 so c_inf(mu) and c(mu) come from one energy.
@@ -24,6 +34,7 @@ in tests/test_energy.py checks.
 
 from __future__ import annotations
 
+import functools
 import warnings
 import weakref
 from dataclasses import dataclass
@@ -31,14 +42,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .grid import ComplexField, Grid3, SpectralWorkspace
-from .profiles import (
-    BallsProfile,
-    DopingProfile,
-    a3_boundary,
-    sample_rho,
-    sample_x_grad_rho,
-)
+from .grid import ComplexField, Grid3, SpectralWorkspace, x_dot_grad
+from .profiles import DopingProfile, sample_rho
 
 __all__ = [
     "PhysParams",
@@ -98,10 +103,19 @@ class PhysParams:
 @dataclass(frozen=True)
 class ProfileFields:
     """The state-independent fields of one profile on one grid:
-    S2 = (-Delta)^{-1}(-rho/2), read-only, and A0."""
+    S2 = (-Delta)^{-1}(-rho/2), read-only, A0, and on demand A3's weight."""
 
+    grid: Grid3
     s2: np.ndarray
     a0: float
+
+    @functools.cached_property
+    def a3_weight(self) -> np.ndarray:
+        """S2 - 1/2 x.grad S2, read-only: A3 = int |u|^2 a3_weight.  Built on
+        first use, since only energy_breakdown reads it."""
+        weight = self.s2 - 0.5 * x_dot_grad(self.s2, self.grid)
+        weight.flags.writeable = False
+        return weight
 
 
 # workspace -> {profile: ProfileFields}; entries go with their workspace
@@ -118,7 +132,9 @@ def profile_fields(profile: DopingProfile, ws: SpectralWorkspace) -> ProfileFiel
         s2 = ws.coulomb(-0.5 * rho)
         s2.flags.writeable = False
         a0 = -0.25 * float(np.sum(s2 * rho)) * ws.grid.cell_volume
-        fields = per_ws[profile] = ProfileFields(s2, a0)
+        # the fields hold the grid, not ws: a value that refers to its own
+        # weak key would keep the workspace alive
+        fields = per_ws[profile] = ProfileFields(ws.grid, s2, a0)
     return fields
 
 
@@ -171,7 +187,7 @@ class EnergyBreakdown:
     a0: float
     a1: float
     a2: float  # 1/4 int S2 |u|^2
-    a3: float  # boundary form for balls, smooth form otherwise; 0.0 for rho = 0
+    a3: float  # int |u|^2 (S2 - 1/2 x.grad S2) = 1/2 int S1 x.grad rho; 0.0 for rho = 0
     energy: float  # E
     script_energy: float  # E + e^2 A0
     mass: float
@@ -196,16 +212,11 @@ def energy_breakdown(
     """All energy components of u, from the same terms as the flow's
     objective E.  A state on another grid than the workspace raises
     GridMismatchError."""
-    grid = u.grid
-    ws.grid.require_same(grid)
+    ws.grid.require_same(u.grid)
     fields = profile_fields(profile, ws)
     ev = Evaluation(u.values, ws)
     energy, power, a2 = ev.energy_terms(fields, params)
-
-    if isinstance(profile, BallsProfile):
-        a3 = a3_boundary(ev.s1, grid, profile.balls)
-    else:
-        a3 = 0.5 * float(np.sum(ev.s1 * sample_x_grad_rho(profile, grid))) * ev.dv
+    a3 = float(np.sum(ev.dens * fields.a3_weight)) * ev.dv
 
     return EnergyBreakdown(
         kinetic=0.5 * ev.grad_sq,
@@ -281,8 +292,10 @@ def pohozaev_residual(breakdown: EnergyBreakdown, omega: float) -> Residual:
     """1/2 |grad u|^2 + (3 omega/2) |u|^2 - 3/(p+1) |u|_{p+1}^{p+1}
     + 5 e^2 A1 + 10 e^2 A2 - e^2 A3.
 
-    Vanishes only at true solutions; not algebraically forced.  A3 uses the
-    boundary form for indicator profiles and is zero when rho = 0.
+    Vanishes only at true solutions; not algebraically forced.  A3 comes
+    from the sampled S2 for every doping (see the module docstring) and is
+    zero when rho = 0, so at a converged minimizer the residual falls with
+    box size and grid spacing.
     """
     e2 = breakdown.e**2
     return _residual_from_terms(

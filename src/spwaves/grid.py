@@ -4,7 +4,8 @@ The computational domain is the cube [-L/2, L/2)^3 sampled at N points per
 axis.  A state is a ComplexField, the one validated wrapper: its samples
 have the grid's shape and are finite.  Real grid data (rho, x . grad rho,
 S1, S2, |u|^2) are plain float64 arrays of shape (N, N, N).  Derivatives
-are Fourier multipliers on the workspace's ``k2`` table.
+are Fourier multipliers: the Laplacian on the workspace's ``k2`` table, and
+x . grad f in ``x_dot_grad``.
 ``SpectralWorkspace.coulomb`` is the one Coulomb solve: it zero-pads the
 data to (2N)^3 and applies a truncated-kernel spectrum, so the result
 approximates the Newtonian potential of the data rather than its periodic
@@ -28,6 +29,7 @@ __all__ = [
     "SpectralWorkspace",
     "GridMismatchError",
     "lp_norm",
+    "x_dot_grad",
     "coulomb_kernel_spectrum",
     "boundary_mass_fraction",
 ]
@@ -68,10 +70,6 @@ class Grid3:
     @property
     def cell_volume(self) -> float:
         return self.spacing**3
-
-    @property
-    def volume(self) -> float:
-        return self.length**3
 
     def axis_coords(self) -> np.ndarray:
         """Node coordinates along one axis, -L/2 + h*i."""
@@ -303,6 +301,24 @@ def lp_norm(values: np.ndarray, p: float, grid: Grid3) -> float:
     grid.require_shape(values)
     mag = np.abs(values)
     return float((np.sum(mag**p) * grid.cell_volume) ** (1.0 / p))
+
+
+def x_dot_grad(values: np.ndarray, grid: Grid3) -> np.ndarray:
+    """x . grad f for real samples f on grid, by spectral differentiation:
+    one forward transform and one inverse per axis.  The derivative is that
+    of the periodic interpolant with its Nyquist modes dropped, so f should
+    be smooth where the result is weighted."""
+    grid.require_shape(values)
+    fhat = sfft.rfftn(values, workers=_FFT_WORKERS)
+    k = grid.wavenumbers()
+    kz = 2.0 * np.pi * sfft.rfftfreq(grid.n, d=grid.spacing)
+    k[grid.n // 2] = kz[-1] = 0.0
+    x, y, z = grid.coords()
+
+    def derivative(ik: np.ndarray) -> np.ndarray:
+        return sfft.irfftn(ik * fhat, s=values.shape, workers=_FFT_WORKERS)
+
+    return x * derivative(1j * k[:, None, None]) + y * derivative(1j * k[None, :, None]) + z * derivative(1j * kz)
 
 
 def boundary_mass_fraction(values: np.ndarray) -> float:

@@ -29,8 +29,6 @@ from .energy import (
     PhysParams,
     energy_breakdown,
     lagrange_multiplier,
-    lemma23_residual,
-    nehari_residual,
     pohozaev_residual,
     profile_fields,
 )
@@ -104,7 +102,9 @@ class MinimizerResult:
     u_min: ComplexField
     breakdown: EnergyBreakdown
     omega: float
-    residuals: dict[str, float]  # normalized nehari/pohozaev/lemma23 + gradient
+    # normalized Pohozaev residual and the flow's gradient residual; omega
+    # comes from the Nehari identity, so its residual is zero by construction
+    residuals: dict[str, float]
     iterations: int  # accepted flow steps
     converged: bool
     c_value: float
@@ -261,12 +261,7 @@ def minimize_at_mass(
     u = ComplexField(ws.grid, state.vals)
     bd = energy_breakdown(u, profile, params, ws)
     omega = lagrange_multiplier(bd)
-    residuals = {
-        "nehari": nehari_residual(bd, omega).normalized,
-        "pohozaev": pohozaev_residual(bd, omega).normalized,
-        "lemma23": lemma23_residual(bd, omega).normalized,
-        "gradient": state.grad_res,
-    }
+    residuals = {"pohozaev": pohozaev_residual(bd, omega).normalized, "gradient": state.grad_res}
     return MinimizerResult(
         u_min=u,
         breakdown=bd,
@@ -283,9 +278,7 @@ class CurvePoint:
     mu: float
     c: float
     omega: float
-    nehari: float
     pohozaev: float
-    lemma23: float
     grad_res: float
     iterations: int
     converged: bool
@@ -318,7 +311,7 @@ def c_curve(
         try:
             res = minimize_at_mass(m, profile, params, config, ws, start=prev_field)
         except NumericalAbort:
-            points.append(CurvePoint(m, np.nan, np.nan, np.nan, np.nan, np.nan, np.nan, 0, False))
+            points.append(CurvePoint(m, np.nan, np.nan, np.nan, np.nan, 0, False))
             prev_field = None
             continue
         points.append(
@@ -326,9 +319,7 @@ def c_curve(
                 m,
                 res.c_value,
                 res.omega,
-                res.residuals["nehari"],
                 res.residuals["pohozaev"],
-                res.residuals["lemma23"],
                 res.residuals["gradient"],
                 res.iterations,
                 res.converged,

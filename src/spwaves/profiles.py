@@ -3,9 +3,10 @@
 Supported background-charge shapes: identically zero, Gaussian
 eps * exp(-alpha |x|^2), power law eps / (1+|x|)^alpha with alpha > 2, and
 finite unions of disjoint ball indicators sum_i alpha_i chi_{B_i}.  The
-smooth shapes carry an analytic x . grad(rho); the indicator class instead
-supports the boundary surface functional used in the Pohozaev identity.
-Sampled fields are float64 arrays of the grid's shape (N, N, N).
+smooth shapes carry an analytic x . grad(rho), which the L^{6/5} norms of
+rho_norms use; an indicator has none.  The Pohozaev identity's dilation term
+needs no x . grad(rho): energy builds it from S2 for every shape.  Sampled
+fields are float64 arrays of the grid's shape (N, N, N).
 """
 
 from __future__ import annotations
@@ -30,11 +31,7 @@ __all__ = [
     "rho_norms",
     "powerlaw_tail_bound",
     "ball_geometry",
-    "a3_boundary",
 ]
-
-# Nodes per sphere of a3_boundary's Gauss-Legendre x trapezoid quadrature.
-SPHERE_N_THETA, SPHERE_N_PHI = 32, 64
 
 
 class UnsupportedDerivativeError(ValueError):
@@ -160,8 +157,7 @@ def sample_x_grad_rho(profile: DopingProfile, grid: Grid3) -> np.ndarray:
         return -profile.alpha * profile.epsilon * r / (1.0 + r) ** (profile.alpha + 1.0)
     if isinstance(profile, BallsProfile):
         raise UnsupportedDerivativeError(
-            "a characteristic-function profile has no weak derivative; "
-            "use a3_boundary for the surface form instead"
+            "a characteristic-function profile has no weak derivative"
         )
     raise TypeError(f"unknown profile type {type(profile)!r}")
 
@@ -229,62 +225,3 @@ def ball_geometry(ball: BallSpec) -> BallGeometry:
         * (kappa1 * volume ** (1.0 / 3.0) + kappa2) ** 0.5
     )
     return BallGeometry(sup, volume, surface, kappa1, kappa2, d_value)
-
-
-def _sphere_quadrature(n_theta: int, n_phi: int):
-    """Gauss-Legendre x trapezoid product rule on the unit sphere.
-
-    Returns unit direction vectors (m, 3) and weights summing to 4 pi.
-    """
-    nodes, wts = np.polynomial.legendre.leggauss(n_theta)  # nodes = cos(theta)
-    phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
-    ct = np.repeat(nodes, n_phi)
-    st = np.sqrt(1.0 - ct**2)
-    ph = np.tile(phi, n_theta)
-    dirs = np.stack([st * np.cos(ph), st * np.sin(ph), ct], axis=-1)
-    weights = np.repeat(wts, n_phi) * (2.0 * np.pi / n_phi)
-    return dirs, weights
-
-
-def _trilinear(values: np.ndarray, grid: Grid3, points: np.ndarray) -> np.ndarray:
-    """Trilinear interpolation at points strictly inside the box."""
-    h = grid.spacing
-    fi = (points + grid.length / 2.0) / h
-    i0 = np.floor(fi).astype(int)
-    frac = fi - i0
-    if np.any(i0 < 0) or np.any(i0 + 1 > grid.n - 1):
-        raise ValueError("interpolation point outside the grid box")
-    out = np.zeros(len(points))
-    for dx in (0, 1):
-        for dy in (0, 1):
-            for dz in (0, 1):
-                w = (
-                    (frac[:, 0] if dx else 1.0 - frac[:, 0])
-                    * (frac[:, 1] if dy else 1.0 - frac[:, 1])
-                    * (frac[:, 2] if dz else 1.0 - frac[:, 2])
-                )
-                out += w * values[i0[:, 0] + dx, i0[:, 1] + dy, i0[:, 2] + dz]
-    return out
-
-
-def a3_boundary(
-    s1: np.ndarray,
-    grid: Grid3,
-    balls: tuple[BallSpec, ...] | list[BallSpec],
-) -> float:
-    """Boundary form of the dilation functional for indicator profiles, from
-    the samples s1 of S1 on grid:
-
-        -(1/2) sum_i alpha_i  surf_int_{|x-c_i|=R_i}  S1 (x . n) dS.
-    """
-    grid.require_shape(s1)
-    dirs, weights = _sphere_quadrature(SPHERE_N_THETA, SPHERE_N_PHI)
-    total = 0.0
-    for ball in balls:
-        _check_ball_in_box(ball, grid)
-        pts = np.asarray(ball.center) + ball.radius * dirs
-        s1_at = _trilinear(s1, grid, pts)
-        x_dot_n = np.einsum("ij,ij->i", pts, dirs)
-        integral = float(np.sum(weights * s1_at * x_dot_n)) * ball.radius**2
-        total += -0.5 * ball.amplitude * integral
-    return total

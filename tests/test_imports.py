@@ -1,6 +1,7 @@
 """Package structure: every relative import names a module that exists, every
 exported name is defined where it is exported, no module imports another's
-private name, and a re-imported package is freed."""
+private name, importing the package loads no scipy module beyond scipy.fft,
+and a re-imported package is freed."""
 
 import ast
 import os
@@ -70,6 +71,25 @@ for _ in range(4):
 gc.collect()
 print(["dead" if ref() is None else "alive" for ref in refs])
 """
+
+
+SCIPY_MODULES = """
+import sys
+import scipy.fft
+before = set(sys.modules)
+import spwaves.grid, spwaves.profiles, spwaves.energy, spwaves.minimize
+print(sorted(m for m in set(sys.modules) - before if m.split(".")[0] == "scipy"))
+"""
+
+
+def test_importing_spwaves_loads_no_further_scipy_module():
+    """spwaves needs scipy.fft alone; scipy.linalg or scipy.sparse.linalg
+    would add several MB of resident memory to every process that imports
+    the package."""
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    out = subprocess.run([sys.executable, "-c", SCIPY_MODULES], env=env, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
 
 
 def test_reimported_modules_are_freed():
