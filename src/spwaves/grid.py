@@ -138,16 +138,18 @@ def coulomb_kernel_spectrum(kmag: np.ndarray, radius: float) -> np.ndarray:
 
 
 # Axis-2 columns of the (4N)^3 kernel spectrum evaluated and transformed
-# together; of 1, 4, 8 and 16, 8 built fastest at N=96 on 2 cores.
+# together.  Timed over 16 builds at N=96 on 2 cores: 4 was slowest, 8 and
+# 16 tied within their quartiles, and 8 holds half the slab memory.
 _KERNEL_SLAB = 8
 
 
 def _kernel_build_bytes(n: int) -> int:
-    """Peak bytes of one kernel build at grid size n: the three largest
-    buffers of _unit_kernel_hat, the pruned spectrum, the last inverse
-    pass's output and one slab, counted as if all alive at once."""
+    """Peak bytes of one kernel build at grid size n: the largest buffers of
+    _unit_kernel_hat counted as if all alive at once.  They are the pruned
+    spectrum, the last inverse pass's output and one slab's two buffers, the
+    (4N, 2N+1) axis-0 input and the (2N, 4N) mirrored axis-1 input."""
     n2, n4 = 2 * n, 4 * n
-    return 16 * n2 * n2 * (n2 + 1) + 8 * n2 * n2 * n4 + 16 * n4 * n4 * _KERNEL_SLAB
+    return 16 * n2 * n2 * (n2 + 1) + 8 * n2 * n2 * n4 + 16 * _KERNEL_SLAB * (n4 * (n2 + 1) + n2 * n4)
 
 
 # Bytes of padded (2N, 2N, columns) complex spectrum one slab of a Coulomb
@@ -174,38 +176,57 @@ def _unit_kernel_hat(n: int) -> np.ndarray:
     T < (4 - sqrt(3)) L, where the period 4L exceeds sqrt(3) L + T.
 
     The (4N)^3 inverse runs in irfftn's own order, axis 0, axis 1, then the
-    real axis 2, each pass cut to the 2N kept offsets before the next and
-    the 1/(4N)^3 applied last: bit for bit the dense irfftn, without the
-    (4N)^3 real array.  The first two passes run one slab of axis-2 columns
-    at a time, and in each slab the spectrum is evaluated for k_x, k_y >= 0
-    only and mirrored, since fftfreq's negative wavenumbers are the exact
-    negatives of the positive ones.
+    real axis 2, each pass cut to the 2N kept offsets (0..N and -(N-1)..-1,
+    two slice copies) before the next and the 1/(4N)^3 applied last: bit
+    for bit the dense irfftn, without the (4N)^3 real array.  The first two
+    passes run one slab of axis-2 columns at a time.  Two symmetries are
+    exact in floating point, so their values are copied, not recomputed:
+
+    - fftfreq's negative wavenumbers are the exact negatives of the positive
+      ones, so rows and columns 2N+1..4N-1 of the spectrum equal rows and
+      columns 2N-1..1.  Only the k_y columns 0..2N are transformed on
+      axis 0; the other columns of its output are copies.
+    - k_x^2 + k_y^2 is symmetric bit for bit, since IEEE addition commutes,
+      so the spectrum is evaluated for k_x <= k_y only and written to both
+      triangles.
+
+    The axis-1 pass, the irfft on axis 2 and the final rfftn are not
+    mirrored: their values at offsets +r and -r are different outputs of
+    one transform, which round differently.
     """
     n2, n4 = 2 * n, 4 * n
     k1 = 2.0 * np.pi * sfft.fftfreq(n4, d=1.0 / n)
     kr = 2.0 * np.pi * sfft.rfftfreq(n4, d=1.0 / n)
-    idx = np.r_[0 : n + 1, n4 - n + 1 : n4]  # offsets 0..n, -(n-1)..-1
-    h = n2 + 1  # wavenumbers 0..2N; rows h.. mirror rows 2N-1..1
-    kxy = (k1[:h] ** 2)[:, None, None] + (k1[:h] ** 2)[None, :, None]
+    h = n2 + 1  # wavenumbers 0..2N; rows and columns h.. mirror 2N-1..1
+    lo, hi = n + 1, n4 - n + 1  # kept offsets 0..N, then -(N-1)..-1
+    ix, iy = np.triu_indices(h)  # k_x <= k_y
+    kxy = k1[ix] ** 2 + k1[iy] ** 2
     pruned = np.empty((n2, n2, kr.size), dtype=np.complex128)
     for k0 in range(0, kr.size, _KERNEL_SLAB):
         cols = slice(k0, k0 + _KERNEL_SLAB)
+        w = kr[cols].size
         # Complex from the start: a real input takes pocketfft's real-input
         # path, which rounds differently from irfftn.
-        slab = np.empty((n4, n4, kr[cols].size), dtype=np.complex128)
-        slab[:h, :h] = coulomb_kernel_spectrum(
-            np.sqrt(kxy + (kr[cols] ** 2)[None, None, :]), np.sqrt(3.0)
-        )
-        slab[h:, :h] = slab[h - 2 : 0 : -1, :h]
-        slab[:, h:] = slab[:, h - 2 : 0 : -1]
-        part = sfft.ifft(slab, axis=0, norm="forward", overwrite_x=True, workers=_FFT_WORKERS)[idx]
+        slab = np.empty((n4, h, w), dtype=np.complex128)
+        tri = coulomb_kernel_spectrum(np.sqrt(kxy[:, None] + (kr[cols] ** 2)[None, :]), np.sqrt(3.0))
+        slab[ix, iy] = tri
+        slab[iy, ix] = tri
+        slab[h:] = slab[h - 2 : 0 : -1]
+        slab = sfft.ifft(slab, axis=0, norm="forward", overwrite_x=True, workers=_FFT_WORKERS)
+        part = np.empty((n2, n4, w), dtype=np.complex128)
+        part[:lo, :h] = slab[:lo]
+        part[lo:, :h] = slab[hi:]
         del slab
+        part[:, h:] = part[:, h - 2 : 0 : -1]
         part = sfft.ifft(part, axis=1, norm="forward", overwrite_x=True, workers=_FFT_WORKERS)
-        pruned[:, :, cols] = part[:, idx]
-    del part
+        pruned[:, :lo, cols] = part[:, :lo]
+        pruned[:, lo:, cols] = part[:, hi:]
+    del part, ix, iy, kxy
     full = sfft.irfft(pruned, n=n4, axis=2, norm="forward", workers=_FFT_WORKERS)
     del pruned
-    kernel = full[:, :, idx]
+    kernel = np.empty((n2, n2, n2))
+    kernel[:, :, :lo] = full[:, :, :lo]
+    kernel[:, :, lo:] = full[:, :, hi:]
     del full
     kernel *= 1.0 / n4**3
     khat = sfft.rfftn(kernel, workers=_FFT_WORKERS).real.copy()

@@ -158,7 +158,7 @@ def _grad_residual(vals: np.ndarray, grad: np.ndarray, ksq: float, mu: float, dv
     """|grad E + omega u|_2 / |u|_{H^1}, with omega = -Re<grad E, u> / mu."""
     omega = -_real_inner(grad, vals, dv) / mu
     resid = grad + omega * vals
-    return float(np.sqrt(_real_inner(resid, resid, dv))) / np.sqrt(mu + ksq)
+    return float(np.sqrt(_real_inner(resid, resid, dv)) / np.sqrt(mu + ksq))
 
 
 def _normalized_flow(mu: float, objective, u0: np.ndarray, config: MinimizeConfig) -> _FlowState:

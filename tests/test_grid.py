@@ -291,7 +291,9 @@ class TestCoulombSolve:
 
 
 class TestKernel:
-    @pytest.mark.parametrize("n", [16, 24, 32])
+    # N=8 and N=10 are the mirrors' edge cases: at N=10 the last slab of
+    # k_z columns is ragged and 4N is not a power of two.
+    @pytest.mark.parametrize("n", [8, 10, 16, 24, 32])
     def test_pruned_build_equals_dense_build(self, n):
         assert np.array_equal(_unit_kernel_hat(n), dense_kernel_hat(Grid3(n, 1.0)))
 
@@ -314,15 +316,30 @@ class TestKernel:
         assert (after.misses - before.misses, after.hits - before.hits) == (1, 1)
         assert not _unit_kernel_hat(20).flags.writeable
 
-    def test_build_peak_is_within_the_estimate(self):
+    @pytest.mark.parametrize("n", [24, 32])
+    def test_build_peak_is_within_the_estimate(self, n):
         tracemalloc.start()
         try:
-            _unit_kernel_hat.__wrapped__(32)
+            _unit_kernel_hat.__wrapped__(n)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        estimate = _kernel_build_bytes(32)
+        estimate = _kernel_build_bytes(n)
         assert 0.75 * estimate < peak <= estimate
+
+    def test_build_and_solve_do_not_depend_on_the_worker_count(self, monkeypatch, rng):
+        # The mirrors copy one transform's output for another's, which holds
+        # only if a 1-D transform's bits do not depend on how the batch is
+        # split between threads.
+        ws = SpectralWorkspace(Grid3(16, 8.0))
+        f = rng.standard_normal((16,) * 3)
+        runs = []
+        for workers in (1, -1):
+            monkeypatch.setattr("spwaves.grid._FFT_WORKERS", workers)
+            runs.append((_unit_kernel_hat.__wrapped__(16), ws.coulomb(f)))
+        (kernel1, v1), (kernel_all, v_all) = runs
+        assert np.array_equal(kernel1, kernel_all)
+        assert np.array_equal(v1, v_all)
 
     def test_grid_too_large_for_memory_fails_before_allocating(self):
         physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")

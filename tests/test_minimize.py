@@ -191,6 +191,15 @@ def test_flow_converges_at_grad_tol():
     assert res.residuals["gradient"] < minimize.GRAD_TOL
 
 
+def test_gradient_residuals_are_python_floats():
+    ws = SpectralWorkspace(Grid3(16, 8.0))
+    args = (GaussianProfile(1.0, 1.0), PhysParams(2.1, 0.3), MinimizeConfig(max_iters=3), ws)
+    res = minimize_at_mass(10.0, *args)
+    (point,) = c_curve([10.0], *args).points
+    assert type(res.residuals["gradient"]) is float
+    assert type(point.grad_res) is float
+
+
 def test_ball_ground_state_meets_the_pohozaev_identity(ws32):
     # A3 from S2 sees the same sampled indicator as A2; the surface form of
     # the continuum ball left a residual of 7e-4 here (3.2e-5 now)
