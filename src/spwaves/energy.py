@@ -332,8 +332,6 @@ def lemma23_residual(breakdown: EnergyBreakdown, omega: float) -> Residual:
 @dataclass(frozen=True)
 class ScalingEntry:
     name: str
-    ratio_measured: float
-    ratio_exact: float
     exponent_measured: float
     exponent_exact: float
 
@@ -344,9 +342,6 @@ class ScalingEntry:
 
 @dataclass(frozen=True)
 class ScalingReport:
-    a: float
-    b: float
-    lam: float
     entries: tuple[ScalingEntry, ...]
 
     def entry(self, name: str) -> ScalingEntry:
@@ -354,11 +349,6 @@ class ScalingReport:
             if ent.name == name:
                 return ent
         raise KeyError(name)
-
-
-def _gaussian_state(grid: Grid3, amplitude: float, width: float) -> np.ndarray:
-    vals = amplitude * np.exp(-grid.radius_sq() / (2.0 * width**2))
-    return vals.astype(complex)
 
 
 def scaling_check(
@@ -375,7 +365,8 @@ def scaling_check(
     and u_lam is sampled in closed form (never interpolated), so measured
     exponents isolate the quadrature and Coulomb-solve accuracy.  Reported
     exponents: mass 2a-3b, kinetic 2a-b, A1 4a-5b, S1 at the origin 2a-2b.
-    lam = 1 is rejected: a dilation by 1 measures no exponent.
+    lam = 1 is rejected: a dilation by 1 measures no exponent.  So is a
+    base or scaled state whose measures underflow to 0: they have no ratio.
     """
     if not (0.0 < width < np.inf and 0.0 < lam < np.inf and lam != 1.0):
         raise ValueError(f"width and lam must be positive and finite, lam != 1, got {width} and {lam}")
@@ -385,24 +376,22 @@ def scaling_check(
         raise ValueError(f"amplitude must be nonzero and finite, got {amplitude}")
     grid = ws.grid
 
-    base = _gaussian_state(grid, amplitude, width)
-    scaled = _gaussian_state(grid, amplitude * lam**a, width / lam**b)
-
     origin = tuple(np.argmin(np.abs(grid.axis_coords())) for _ in range(3))
 
-    def measures(vals: np.ndarray) -> dict[str, float]:
-        ev = Evaluation(vals, ws)
-        return {"mass": ev.mass, "kinetic": ev.grad_sq, "a1": ev.a1, "s1_origin": float(ev.s1[origin])}
+    def measures(state: str, amp: float, w: float) -> dict[str, float]:
+        ev = Evaluation((amp * np.exp(-grid.radius_sq() / (2.0 * w**2))).astype(complex), ws)
+        m = {"mass": ev.mass, "kinetic": ev.grad_sq, "a1": ev.a1, "s1_origin": float(ev.s1[origin])}
+        if 0.0 in m.values():
+            raise ValueError(f"amplitude {amp} is too small: the {state} state's measures underflow to 0")
+        return m
 
-    m0 = measures(base)
-    if 0.0 in m0.values():
-        raise ValueError(f"amplitude {amplitude} is too small: the base state's measures underflow to 0")
-    m1 = measures(scaled)
+    m0 = measures("base", amplitude, width)
+    m1 = measures("scaled", amplitude * lam**a, width / lam**b)
     exponents = {"mass": 2 * a - 3 * b, "kinetic": 2 * a - b, "a1": 4 * a - 5 * b, "s1_origin": 2 * a - 2 * b}
 
-    entries = []
     loglam = np.log(lam)
-    for name, expo in exponents.items():
-        ratio = float(m1[name] / m0[name])
-        entries.append(ScalingEntry(name, ratio, float(lam**expo), float(np.log(ratio) / loglam), float(expo)))
-    return ScalingReport(a, b, lam, tuple(entries))
+    entries = tuple(
+        ScalingEntry(name, float(np.log(float(m1[name] / m0[name])) / loglam), float(expo))
+        for name, expo in exponents.items()
+    )
+    return ScalingReport(entries)

@@ -1,10 +1,13 @@
 """Oracles shared between unit and acceptance tests: a brute-force Coulomb
-sum and the continuum surface form of A3 for ball indicators.
+sum, the continuum surface form of A3 for ball indicators, and the radial
+free-space floor of -Delta + V.
 
 These deliberately avoid the FFT code paths they are used to check.
 """
 
 import numpy as np
+from scipy.integrate import cumulative_trapezoid
+from scipy.linalg import eigh_tridiagonal
 
 
 def direct_coulomb_sum(grid, f):
@@ -107,3 +110,24 @@ def a3_boundary(s1, grid, balls, n_theta=32, n_phi=64):
         integral = float(np.sum(weights * s1_at * x_dot_n)) * ball.radius**2
         total += -0.5 * ball.amplitude * integral
     return total
+
+
+def radial_floor(potential, R, M):
+    """Lowest eigenvalue of -u'' + V u = lambda u on (0, R), u(0) = u(R) = 0,
+    by second-order differences on M intervals.  With u = r psi it is the
+    lowest eigenvalue of -Delta + V on the ball of radius R for a radial V,
+    with no FFT box; potential(r) returns V at the radii r."""
+    h = R / M
+    r = h * np.arange(1, M)
+    diag, off = 2.0 / h**2 + potential(r), np.full(M - 2, -1.0 / h**2)
+    return float(eigh_tridiagonal(diag, off, eigvals_only=True, select="i", select_range=(0, 0))[0])
+
+
+def shell_s2(rho, r):
+    """S2 = (-Delta)^{-1}(-rho/2) of a radial rho at the increasing radii r,
+    by the shell theorem: G*rho(r) = (1/r) int_0^r rho s^2 ds + int_r^inf rho s ds,
+    both by the trapezoid rule on [0, r], the outer one cut at r[-1]."""
+    s = np.concatenate(([0.0], r))
+    inner = cumulative_trapezoid(rho(s) * s**2, s, initial=0.0)[1:]
+    outer = cumulative_trapezoid(rho(s) * s, s, initial=0.0)
+    return -0.5 * (inner / r + outer[-1] - outer[1:])

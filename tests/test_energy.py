@@ -473,7 +473,7 @@ class TestScalingCheck:
     def test_mass_kinetic_s1_exponents(self, ws64):
         rep = scaling_check(1.0, 1.5, 1.0, 2.0, ws64)
         assert rep.entry("mass").exponent_exact == 0.0
-        assert rep.entry("mass").ratio_measured == pytest.approx(1.0, rel=1e-10)
+        assert rep.entry("mass").exponent_error < 1e-10
         assert rep.entry("kinetic").exponent_exact == 2.0
         assert rep.entry("kinetic").exponent_error < 1e-8
         assert rep.entry("s1_origin").exponent_exact == 1.0
@@ -508,3 +508,8 @@ class TestScalingCheck:
         # |1e-170|^2 underflows to 0: no ratio of the base measures exists
         with pytest.raises(ValueError, match="amplitude"):
             scaling_check(1.0, 1.5, 1.0, 2.0, SpectralWorkspace(Grid3(8, 8.0)), amplitude=1e-170)
+
+    def test_scaled_state_whose_measures_underflow_is_rejected(self):
+        # u_lam = 2^-400 u: its A1 ~ 2^-1600 underflows to 0, so log(0) has no exponent
+        with pytest.raises(ValueError, match="scaled state"):
+            scaling_check(1.0, -400.0, 0.0, 2.0, SpectralWorkspace(Grid3(16, 8.0)))

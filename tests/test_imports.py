@@ -1,7 +1,8 @@
 """Package structure: every relative import names a module that exists, every
 exported name is defined where it is exported, no module imports another's
-private name, importing the package loads no scipy module beyond scipy.fft,
-and a re-imported package is freed."""
+private name, no module but profiles branches on a doping's type, importing
+the package loads no scipy module beyond scipy.fft, and a re-imported package
+is freed."""
 
 import ast
 import os
@@ -53,6 +54,25 @@ def test_no_module_imports_a_private_name():
             if isinstance(node, ast.ImportFrom):
                 private = [alias.name for alias in node.names if alias.name.startswith("_")]
                 assert not private, f"{path.name}:{node.lineno} imports private {private}"
+
+
+DOPING_TYPES = {"ZeroProfile", "GaussianProfile", "PowerLawProfile", "BallsProfile"}
+
+
+def test_only_profiles_branches_on_a_dopings_type():
+    """Every doping runs one path: profiles samples rho and its fields by
+    type, and every other module works on those samples alone."""
+    for path, tree in parsed_sources():
+        if path.name == "profiles.py":
+            continue
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "isinstance"):
+                continue
+            classes = node.args[1:]
+            if classes and isinstance(classes[0], ast.Tuple):
+                classes = classes[0].elts
+            names = {getattr(c, "id", None) or getattr(c, "attr", None) for c in classes}
+            assert not names & DOPING_TYPES, f"{path.name}:{node.lineno} branches on {sorted(names & DOPING_TYPES)}"
 
 
 REIMPORT = """

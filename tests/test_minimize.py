@@ -1,12 +1,14 @@
 """Minimize module: the flow objective, the cold and warm starts, evaluation
 reuse in the flow, the flow's exits, input checks, the sweeps' and the mu*
-bisection's bookkeeping around minimize_at_mass, and the spectral floor
-against a dense eigensolver."""
+bisection's bookkeeping around minimize_at_mass, the spectral floor against
+a dense eigensolver, the radial free-space floor, and the small-mass slope
+of c(mu) against the operator E linearizes to."""
 
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy.special import erf
 
 from spwaves import minimize
 from spwaves.energy import PhysParams, energy_breakdown, grad_E, profile_fields
@@ -31,6 +33,7 @@ from spwaves.minimize import (
 from spwaves.profiles import BallSpec, BallsProfile, GaussianProfile, ZeroProfile
 
 from conftest import smooth_random_complex
+from oracles import radial_floor, shell_s2
 
 
 def test_objective_matches_breakdown_and_gradient(grid32, ws32, rng):
@@ -501,8 +504,11 @@ def test_spectral_floor_rejects_a_coupling_that_is_not_positive_and_finite(e):
 
 
 def test_spectral_floor_of_zero_doping_is_zero():
+    # rho = 0 runs the same eigensolver on S2 = +0.0: the floor of -Delta on
+    # the periodic box, 0 up to roundoff
     rows = spectral_floor(ZeroProfile(), 0.3, (8.0, 12.0), MinimizeConfig(), 16)
-    assert rows == [minimize.FloorPoint(8.0, 0.0, True, 0), minimize.FloorPoint(12.0, 0.0, True, 0)]
+    assert [pt.box_length for pt in rows] == [8.0, 12.0]
+    assert all(pt.converged and abs(pt.floor) < 1e-12 for pt in rows)
 
 
 def test_spectral_floor_turns_an_abort_into_a_nan_row(monkeypatch):
@@ -512,3 +518,52 @@ def test_spectral_floor_turns_an_abort_into_a_nan_row(monkeypatch):
     monkeypatch.setattr(minimize, "profile_fields", overflowing)
     (pt,) = spectral_floor(GaussianProfile(1.0, 1.0), 0.3, (8.0,), MinimizeConfig(), 8)
     assert np.isnan(pt.floor) and (pt.box_length, pt.converged, pt.iterations) == (8.0, False, 0)
+
+
+def test_small_mass_slope_tends_to_the_operator_e_linearizes_to():
+    """E's quadratic part is 1/2 <u, (-Delta + e^2 S2) u>, so 2 c(mu) / mu
+    tends to its lowest eigenvalue as mu falls: the floor at coupling
+    e / sqrt(2), not the floor at e, whose operator is -Delta + 2 e^2 S2."""
+    prof, e, length, n = GaussianProfile(1.0, 1.0), 0.3, 8.0, 16
+    ws = SpectralWorkspace(Grid3(n, length))
+    params = PhysParams(2.1, e)
+    slopes = [2.0 * minimize_at_mass(mu, prof, params, MinimizeConfig(), ws).c_value / mu for mu in (1e-2, 1e-3, 1e-4)]
+    (linear,) = spectral_floor(prof, e / np.sqrt(2.0), (length,), MinimizeConfig(), n)
+    (floor,) = spectral_floor(prof, e, (length,), MinimizeConfig(), n)
+    gaps = [abs(slope - linear.floor) for slope in slopes]
+    assert gaps[0] > gaps[1] > gaps[2]
+    assert gaps[2] < 0.03 * abs(linear.floor)
+    assert gaps[2] < abs(slopes[2] - floor.floor)
+
+
+COUPLING = 0.3
+
+
+def gaussian_s2(r):
+    """S2 of the bench doping rho = exp(-|x|^2) in free space, in closed form."""
+    return -0.5 * np.pi**1.5 * erf(r) / (4.0 * np.pi * r)
+
+
+def power_law_s2(r):
+    """S2 of rho = 1 / (1 + |x|)^4 in free space, by shell-theorem quadrature."""
+    return shell_s2(lambda s: (1.0 + s) ** -4.0, r)
+
+
+def test_radial_floor_holds_still_in_the_radius_and_the_spacing():
+    def potential(r):
+        return 2.0 * COUPLING**2 * gaussian_s2(r)
+
+    coarse, fine = radial_floor(potential, 1500.0, 30000), radial_floor(potential, 3000.0, 60000)
+    assert abs(fine - coarse) <= 1e-10 * abs(fine)
+
+
+@pytest.mark.parametrize(
+    ("s2", "charge"), [(gaussian_s2, np.pi**1.5), (power_law_s2, 4.0 * np.pi / 3.0)], ids=["gaussian", "power_law"]
+)
+def test_radial_floor_lies_above_the_hydrogen_bound(s2, charge):
+    """In free space 2 e^2 S2 >= -Z/r with Z = e^2 Q / (4 pi) and Q = int rho,
+    for radial rho >= 0 (Newton's theorem), so -Delta + 2 e^2 S2 binds a
+    state at or above the hydrogen ground energy -Z^2/4."""
+    z = COUPLING**2 * charge / (4.0 * np.pi)
+    floor = radial_floor(lambda r: 2.0 * COUPLING**2 * s2(r), 3000.0, 60000)
+    assert -(z**2) / 4.0 <= floor < 0.0
