@@ -366,7 +366,8 @@ def scaling_check(
     exponents isolate the quadrature and Coulomb-solve accuracy.  Reported
     exponents: mass 2a-3b, kinetic 2a-b, A1 4a-5b, S1 at the origin 2a-2b.
     lam = 1 is rejected: a dilation by 1 measures no exponent.  So is a
-    base or scaled state whose measures underflow to 0: they have no ratio.
+    base or scaled state whose width squares to 0 or overflows, or whose
+    measures underflow to 0 or overflow: they have no ratio.
     """
     if not (0.0 < width < np.inf and 0.0 < lam < np.inf and lam != 1.0):
         raise ValueError(f"width and lam must be positive and finite, lam != 1, got {width} and {lam}")
@@ -379,14 +380,17 @@ def scaling_check(
     origin = tuple(np.argmin(np.abs(grid.axis_coords())) for _ in range(3))
 
     def measures(state: str, amp: float, w: float) -> dict[str, float]:
-        ev = Evaluation((amp * np.exp(-grid.radius_sq() / (2.0 * w**2))).astype(complex), ws)
-        m = {"mass": ev.mass, "kinetic": ev.grad_sq, "a1": ev.a1, "s1_origin": float(ev.s1[origin])}
-        if 0.0 in m.values():
-            raise ValueError(f"amplitude {amp} is too small: the {state} state's measures underflow to 0")
-        return m
+        if 0.0 < abs(amp) < np.inf and 0.0 < w * w < np.inf:
+            ev = Evaluation((amp * np.exp(-grid.radius_sq() / (2.0 * w**2))).astype(complex), ws)
+            m = {"mass": ev.mass, "kinetic": ev.grad_sq, "a1": ev.a1, "s1_origin": float(ev.s1[origin])}
+            if all(0.0 < abs(v) < np.inf for v in m.values()):
+                return m
+        raise ValueError(f"the {state} state (amplitude {amp}, width {w}) has no finite nonzero measures")
 
-    m0 = measures("base", amplitude, width)
-    m1 = measures("scaled", amplitude * lam**a, width / lam**b)
+    # an extreme dilation over- or underflows here; measures() rejects what it leaves
+    with np.errstate(all="ignore"):
+        m0 = measures("base", amplitude, width)
+        m1 = measures("scaled", float(amplitude * np.float64(lam) ** a), float(width / np.float64(lam) ** b))
     exponents = {"mass": 2 * a - 3 * b, "kinetic": 2 * a - b, "a1": 4 * a - 5 * b, "s1_origin": 2 * a - 2 * b}
 
     loglam = np.log(lam)

@@ -99,7 +99,8 @@ class MinimizeConfig:
 
 @dataclass(frozen=True)
 class MinimizerResult:
-    """A cold-start u_min is real up to roundoff; a warm start keeps its start's phase."""
+    """A cold-start u_min is real up to roundoff; a warm start keeps its start's
+    phase.  converged is residuals["gradient"] < GRAD_TOL, the cap included."""
 
     u_min: ComplexField
     breakdown: EnergyBreakdown
@@ -141,7 +142,6 @@ class _Objective:
 class _FlowState:
     vals: np.ndarray
     iterations: int  # accepted steps
-    converged: bool
     grad_res: float
 
 
@@ -174,14 +174,9 @@ def _normalized_flow(mu: float, objective, u0: np.ndarray, config: MinimizeConfi
     prev_vals = prev_grad = None
     stall_anchor = energy
     stall_count = 0
-    converged = False
     steps = 0
 
-    while steps < config.max_iters:
-        if _grad_residual(vals, grad, ksq, mu, dv) < GRAD_TOL:
-            converged = True
-            break
-
+    while steps < config.max_iters and _grad_residual(vals, grad, ksq, mu, dv) >= GRAD_TOL:
         if prev_vals is not None:
             s = vals - prev_vals
             y = grad - prev_grad
@@ -217,7 +212,7 @@ def _normalized_flow(mu: float, objective, u0: np.ndarray, config: MinimizeConfi
             stall_anchor = energy
             stall_count = 0
 
-    return _FlowState(vals, steps, converged, _grad_residual(vals, grad, ksq, mu, dv))
+    return _FlowState(vals, steps, _grad_residual(vals, grad, ksq, mu, dv))
 
 
 def _gaussian_trial(grid: Grid3, width: float, mu: float) -> np.ndarray:
@@ -230,8 +225,8 @@ def _cold_start(mu: float, objective: _Objective) -> np.ndarray:
     with the lowest energy."""
     grid = objective.ws.grid
     widths = np.geomspace(3.0 * grid.spacing, grid.length / 5.0, 10)
-    energies = [objective(_gaussian_trial(grid, w, mu), need_grad=False)[0] for w in widths]
-    return _gaussian_trial(grid, float(widths[int(np.argmin(energies))]), mu)
+    trials = (_gaussian_trial(grid, w, mu) for w in widths)
+    return min(trials, key=lambda vals: objective(vals, need_grad=False)[0])
 
 
 def minimize_at_mass(
@@ -244,11 +239,11 @@ def minimize_at_mass(
 ) -> MinimizerResult:
     """Normalized-gradient-flow upper bound for c(mu), with diagnostics.
 
-    One flow runs: from start, rescaled to mass mu, if given (a warm
-    start), otherwise from the real Gaussian of lowest energy among ten
-    widths (a cold start).  A start on another grid than the workspace
-    raises GridMismatchError.  Non-convergence is reported through the
-    flag, never raised; a NaN in the energy aborts with NumericalAbort.
+    One flow runs: from start, rescaled to mass mu, if given (a warm start),
+    otherwise from the lowest-energy real Gaussian of ten widths (a cold
+    start).  A start on another grid raises GridMismatchError.  converged
+    means the last gradient residual is below GRAD_TOL, whatever ended the
+    flow, the iteration cap included; a NaN energy raises NumericalAbort.
     """
     if not (mu > 0.0 and np.isfinite(mu)):
         raise ValueError(f"mass must be positive and finite, got {mu}")
@@ -270,7 +265,7 @@ def minimize_at_mass(
         omega=omega,
         residuals=residuals,
         iterations=state.iterations,
-        converged=state.converged,
+        converged=state.grad_res < GRAD_TOL,
         c_value=bd.energy,
     )
 
@@ -470,8 +465,8 @@ def subadditivity_scan(
 @dataclass(frozen=True)
 class FloorPoint:
     """The floor on one box: the lowest eigenvalue of -Delta + 2 e^2 S2 (not
-    of E's linearization, -Delta + e^2 S2), whether the eigensolver met
-    GRAD_TOL, and how many times it updated the eigenvector."""
+    of E's linearization, -Delta + e^2 S2), whether the eigensolver's last
+    residual is below GRAD_TOL, the cap included, and its update count."""
 
     box_length: float
     floor: float
@@ -481,7 +476,7 @@ class FloorPoint:
 
 def _lowest_eigenvalue(
     potential: np.ndarray, ws: SpectralWorkspace, x: np.ndarray, config: MinimizeConfig
-) -> tuple[float, int, bool]:
+) -> tuple[float, int, float]:
     """Lowest eigenvalue of A = -Delta + potential by LOBPCG with block size
     one (Knyazev, SIAM J. Sci. Comput. 23, 2001), from the real array x.
 
@@ -490,7 +485,7 @@ def _lowest_eigenvalue(
     343, 2017) and p the previous direction, dropped when the Gram matrix is
     not positive definite.  It stops on the flow's residual for the quadratic
     form <u, A u> at unit mass, so GRAD_TOL and max_iters keep their meaning.
-    Returns (lambda, the number of updates of x, converged).
+    Returns (lambda, the number of updates of x, the last residual).
     """
     dv = ws.grid.cell_volume
     precond = 1.0 / (FLOOR_SHIFT + ws.k2)
@@ -512,17 +507,16 @@ def _lowest_eigenvalue(
             raise NumericalAbort("Rayleigh quotient became non-finite")
         return lam
 
+    def residual() -> float:
+        ksq = lam - float(potential @ (x * x)) * dv  # int |grad x|^2 at unit mass
+        return _grad_residual(x, 2.0 * ax, ksq, 1.0, dv)
+
     x = x.ravel()
     x, ax = unit(x, apply(x))
     lam = rayleigh(x, ax)
     prev: tuple[np.ndarray, ...] = ()  # (p, A p) once there is a previous direction
-    converged = False
     updates = 0
-    while updates < config.max_iters:
-        ksq = lam - float(potential @ (x * x)) * dv  # int |grad x|^2 at unit mass
-        if _grad_residual(x, 2.0 * ax, ksq, 1.0, dv) < GRAD_TOL:
-            converged = True
-            break
+    while updates < config.max_iters and residual() >= GRAD_TOL:
         w = filtered(precond, ax - lam * x)
         w, aw = unit(w, apply(w))
         basis, abasis = np.array([x, w, *prev[:1]]), np.array([ax, aw, *prev[1:]])
@@ -538,7 +532,7 @@ def _lowest_eigenvalue(
         x, ax = unit(coef @ basis, coef @ abasis)
         lam = rayleigh(x, ax)
         updates += 1
-    return lam, updates, converged
+    return lam, updates, residual()
 
 
 def spectral_floor(
@@ -552,13 +546,13 @@ def spectral_floor(
 
     Each floor comes from a preconditioned eigensolver (LOBPCG) started from
     the real Gaussian of width L/8, for every doping: rho = 0 has S2 = +0.0
-    and a floor of 0 up to roundoff.  FloorPoint.iterations counts the
-    updates of the eigenvector.  On a periodic box every rho >= 0 other than
-    0 gives a negative floor, close to the box mean of 2 e^2 S2, which falls
-    like 1/L (L * floor is about -0.095 for the bench doping at e = 0.3).
-    In free space the floor is hydrogenic instead, at or above -Z^2/4 with
-    Z = e^2 int rho / (4 pi): -3.97e-4 for the bench doping.  E linearizes
-    to -Delta + e^2 S2, the operator of the floor at coupling e / sqrt(2).
+    and a floor of 0 up to roundoff.  FloorPoint.converged means the last
+    residual is below GRAD_TOL, the cap included.  On a periodic box every
+    rho >= 0 other than 0 gives a negative floor, close to the box mean of
+    2 e^2 S2, which falls like 1/L (L * floor is about -0.095 for the bench
+    doping at e = 0.3).  In free space the floor is hydrogenic instead, at
+    or above -Z^2/4 with Z = e^2 int rho / (4 pi): -3.97e-4 for the bench
+    doping.  E linearizes to -Delta + e^2 S2, the floor's operator at e/sqrt(2).
     """
     if not (0.0 < e < np.inf):
         raise ValueError(f"coupling must be positive and finite, got {e}")
@@ -569,8 +563,8 @@ def spectral_floor(
         potential = 2.0 * e**2 * profile_fields(profile, ws).s2
         x0 = np.exp(-grid.radius_sq() / (2.0 * (grid.length / 8.0) ** 2))
         try:
-            floor, iterations, converged = _lowest_eigenvalue(potential, ws, x0, config)
-            out.append(FloorPoint(float(length), floor, converged, iterations))
+            floor, iterations, residual = _lowest_eigenvalue(potential, ws, x0, config)
+            out.append(FloorPoint(float(length), floor, residual < GRAD_TOL, iterations))
         except NumericalAbort:
             out.append(FloorPoint(float(length), np.nan, False, 0))
     return out

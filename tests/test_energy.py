@@ -8,6 +8,7 @@ Closed-form Gaussian oracles:
 """
 
 import gc
+import warnings
 import weakref
 
 import numpy as np
@@ -513,3 +514,19 @@ class TestScalingCheck:
         # u_lam = 2^-400 u: its A1 ~ 2^-1600 underflows to 0, so log(0) has no exponent
         with pytest.raises(ValueError, match="scaled state"):
             scaling_check(1.0, -400.0, 0.0, 2.0, SpectralWorkspace(Grid3(16, 8.0)))
+
+    @pytest.mark.parametrize(
+        "width, a, b, state",
+        [
+            (1.0, 0.0, 600.0, "scaled"),  # width 2^-600 squares to 0
+            (1e-200, 0.0, 1.0, "base"),  # width 1e-200 squares to 0
+            (1.0, 400.0, 0.0, "scaled"),  # amplitude 2^400: A1 ~ 2^1600 overflows
+            (1.0, 0.0, -600.0, "scaled"),  # width 2^600 squares to inf
+        ],
+    )
+    def test_extreme_dilation_is_rejected_without_a_warning(self, width, a, b, state):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ValueError, match=f"{state} state"):
+                scaling_check(width, a, b, 2.0, SpectralWorkspace(Grid3(16, 8.0)))
+        assert not caught

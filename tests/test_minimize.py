@@ -194,6 +194,45 @@ def test_flow_converges_at_grad_tol():
     assert res.residuals["gradient"] < minimize.GRAD_TOL
 
 
+@pytest.fixture(scope="module")
+def solve_n16():
+    """A solve of the converging N = 16 case (Gaussian(1, 1) doping, p=2.1,
+    e=0.3, mu=10) under a given config and start, and its cold solve."""
+    ws = SpectralWorkspace(Grid3(16, 8.0))
+
+    def solve(config, start=None):
+        return minimize_at_mass(10.0, GaussianProfile(1.0, 1.0), PhysParams(2.1, 0.3), config, ws, start=start)
+
+    return solve, solve(MinimizeConfig())
+
+
+def test_solve_that_ends_where_it_converges_reports_converged(solve_n16):
+    # the verdict is the last residual's, not the exit's: the cold solve capped
+    # at its own step count ends on the same bits, a warm start from its
+    # minimizer takes no step, and both end below GRAD_TOL
+    solve, cold = solve_n16
+    capped = solve(MinimizeConfig(max_iters=cold.iterations))
+    warm = solve(MinimizeConfig(max_iters=0), start=cold.u_min)
+    assert cold.converged and np.array_equal(capped.u_min.values, cold.u_min.values)
+    assert warm.iterations == 0
+    for res in (cold, capped, warm):
+        assert res.residuals["gradient"] < minimize.GRAD_TOL and res.converged
+
+
+@pytest.mark.parametrize("exit", ["converged", "stall", "no_descent", "cap"])
+def test_solve_verdict_is_its_last_gradient_residual_on_every_exit(exit, solve_n16, monkeypatch):
+    solve, cold = solve_n16
+    if exit == "stall":
+        monkeypatch.setattr(minimize, "ENERGY_TOL", 1e3)
+        monkeypatch.setattr(minimize, "STALL_ITERS", 5)
+    elif exit == "no_descent":
+        monkeypatch.setattr(minimize, "BACKTRACK_MAX", 0)  # no trial step is tried
+    res = cold if exit == "converged" else solve(MinimizeConfig(max_iters=3 if exit == "cap" else 4000))
+    assert res.iterations == {"converged": cold.iterations, "stall": 5, "no_descent": 0, "cap": 3}[exit]
+    assert res.converged == (res.residuals["gradient"] < minimize.GRAD_TOL)
+    assert res.converged is (exit == "converged")
+
+
 def test_gradient_residuals_are_python_floats():
     ws = SpectralWorkspace(Grid3(16, 8.0))
     args = (GaussianProfile(1.0, 1.0), PhysParams(2.1, 0.3), MinimizeConfig(max_iters=3), ws)
@@ -216,7 +255,7 @@ def test_flow_stops_after_stall_iters_without_an_energy_drop(monkeypatch):
     monkeypatch.setattr(minimize, "STALL_ITERS", 5)
     objective, u0 = _flow_case()
     state = _normalized_flow(10.0, objective, u0, MinimizeConfig())
-    assert (state.iterations, state.converged) == (5, False)
+    assert state.iterations == 5 and state.grad_res >= minimize.GRAD_TOL
 
 
 def _never_descends(objective, u0):
@@ -234,7 +273,7 @@ def test_flow_without_a_descending_trial_stops_in_its_first_iteration():
     objective, u0 = _flow_case()
     calls = _Calls(_never_descends(objective, u0))
     state = _normalized_flow(10.0, calls, u0, MinimizeConfig())
-    assert (state.iterations, state.converged) == (0, False)
+    assert state.iterations == 0 and state.grad_res >= minimize.GRAD_TOL
     assert (calls.grads, calls.trials) == (1, minimize.BACKTRACK_MAX)
 
 
@@ -251,7 +290,7 @@ def test_flow_iterations_count_the_accepted_steps_on_every_exit(exit, monkeypatc
     calls = _Calls(objective)
     state = _normalized_flow(10.0, calls, u0, config)
     assert state.iterations == calls.grads - 1
-    assert state.converged is (exit == "converged")
+    assert (state.grad_res < minimize.GRAD_TOL) is (exit == "converged")
     if exit != "converged":
         assert state.iterations == {"stall": 5, "no_descent": 0, "cap": 3}[exit]
 
@@ -490,6 +529,15 @@ def test_spectral_floor_without_the_previous_direction_matches_dense_eigenvalue(
 def test_spectral_floor_converges_in_few_iterations():
     (pt,) = spectral_floor(GaussianProfile(1.0, 1.0), 0.3, (16.0,), MinimizeConfig(), 16)
     assert pt.converged and pt.iterations <= 30
+
+
+def test_spectral_floor_capped_where_it_converges_reports_converged():
+    # the verdict is the last residual's: capped at its own update count,
+    # the floor ends on the same bits and below GRAD_TOL
+    prof = GaussianProfile(1.0, 1.0)
+    (pt,) = spectral_floor(prof, 0.3, (16.0,), MinimizeConfig(), 16)
+    (capped,) = spectral_floor(prof, 0.3, (16.0,), MinimizeConfig(max_iters=pt.iterations), 16)
+    assert pt.converged and capped == pt
 
 
 def test_spectral_floor_reports_the_iteration_cap():
