@@ -83,8 +83,8 @@ class PhysParams:
     def __post_init__(self):
         if not (1.0 < self.p < 5.0):
             raise ValueError(f"p must lie in (1, 5), got {self.p}")
-        if not (0.0 < self.e < np.inf):
-            raise ValueError(f"coupling e must be positive and finite, got {self.e}")
+        if not (self.e > 0.0 and float(self.e) * float(self.e) < np.inf):
+            raise ValueError(f"coupling e must be positive and finite, with e^2 finite, got {self.e}")
 
     @property
     def in_theory_regime(self) -> bool:

@@ -292,7 +292,9 @@ class SpectralWorkspace:
         norm="forward") * L^2/(2N)^3 bit for bit, yet no transform runs over
         the all-zero rows and no full (2N)^2 (N+1) spectrum is made.  A
         power-of-two L^2 scales exactly, keeping the bits of the solve with
-        ``kernel_hat``; any other L moves them by ulps."""
+        ``kernel_hat``; any other L moves them by ulps.  Data of any shape
+        but (N, N, N) raises ValueError."""
+        self.grid.require_shape(values)
         n = self.grid.n
         n2 = 2 * n
         unit = _unit_kernel_hat(n)

@@ -165,7 +165,11 @@ def _grad_residual(vals: np.ndarray, grad: np.ndarray, ksq: float, mu: float, dv
 
 def _normalized_flow(mu: float, objective, u0: np.ndarray, config: MinimizeConfig) -> _FlowState:
     """Monotone normalized gradient flow on the energy E (an _Objective)
-    from u0; returns the last iterate, which has the lowest energy."""
+    from u0.  It computes each iterate's gradient residual once and returns
+    the iterate, the lowest in energy so far, and that residual at the first
+    of four exits: the residual is below GRAD_TOL, max_iters steps are
+    taken, STALL_ITERS steps in a row lowered E by less than ENERGY_TOL, or
+    no backtracked step descends."""
     dv = objective.dv
     vals = _rescale_mass(u0.astype(np.complex128), mu, dv)
     energy, grad, ksq = objective(vals, need_grad=True)
@@ -176,7 +180,10 @@ def _normalized_flow(mu: float, objective, u0: np.ndarray, config: MinimizeConfi
     stall_count = 0
     steps = 0
 
-    while steps < config.max_iters and _grad_residual(vals, grad, ksq, mu, dv) >= GRAD_TOL:
+    while True:
+        grad_res = _grad_residual(vals, grad, ksq, mu, dv)
+        if steps >= config.max_iters or grad_res < GRAD_TOL or stall_count >= STALL_ITERS:
+            return _FlowState(vals, steps, grad_res)
         if prev_vals is not None:
             s = vals - prev_vals
             y = grad - prev_grad
@@ -186,17 +193,14 @@ def _normalized_flow(mu: float, objective, u0: np.ndarray, config: MinimizeConfi
                 tau = abs(sy) / yy
             tau = min(max(tau, TAU_MIN), TAU_MAX)
 
-        accepted = False
         trial_tau = tau
         for _ in range(BACKTRACK_MAX):
             trial = _rescale_mass(vals - trial_tau * grad, mu, dv)
-            e_trial = objective(trial, need_grad=False)[0]
-            if e_trial <= energy:
-                accepted = True
+            if objective(trial, need_grad=False)[0] <= energy:
                 break
             trial_tau *= 0.5
-        if not accepted:
-            break  # numerically stationary: no descent direction at any step
+        else:
+            return _FlowState(vals, steps, grad_res)  # numerically stationary
         tau = trial_tau
         steps += 1
 
@@ -206,13 +210,9 @@ def _normalized_flow(mu: float, objective, u0: np.ndarray, config: MinimizeConfi
 
         if stall_anchor - energy < ENERGY_TOL:
             stall_count += 1
-            if stall_count >= STALL_ITERS:
-                break
         else:
             stall_anchor = energy
             stall_count = 0
-
-    return _FlowState(vals, steps, _grad_residual(vals, grad, ksq, mu, dv))
 
 
 def _gaussian_trial(grid: Grid3, width: float, mu: float) -> np.ndarray:
@@ -278,7 +278,6 @@ class CurvePoint:
     pohozaev: float
     grad_res: float
     iterations: int
-    converged: bool
 
 
 @dataclass(frozen=True)
@@ -308,7 +307,7 @@ def c_curve(
         try:
             res = minimize_at_mass(m, profile, params, config, ws, start=prev_field)
         except NumericalAbort:
-            points.append(CurvePoint(m, np.nan, np.nan, np.nan, np.nan, 0, False))
+            points.append(CurvePoint(m, np.nan, np.nan, np.nan, np.nan, 0))
             prev_field = None
             continue
         points.append(
@@ -319,7 +318,6 @@ def c_curve(
                 res.residuals["pohozaev"],
                 res.residuals["gradient"],
                 res.iterations,
-                res.converged,
             )
         )
         prev_field = res.u_min
@@ -480,12 +478,13 @@ def _lowest_eigenvalue(
     """Lowest eigenvalue of A = -Delta + potential by LOBPCG with block size
     one (Knyazev, SIAM J. Sci. Comput. 23, 2001), from the real array x.
 
-    Each iteration runs Rayleigh-Ritz on span{x, P r, p}: r = A x - lambda x,
+    Each pass forms r = A x - lambda x once.  It returns (lambda, the number
+    of updates of x, the residual) at max_iters updates or once the residual
+    2 |r|_2 / |x|_{H^1} at unit mass, the flow's for the form <u, A u>, is
+    below GRAD_TOL.  Otherwise it runs Rayleigh-Ritz on span{x, P r, p}:
     P = (FLOOR_SHIFT - Delta)^-1 (Antoine, Levitt & Tang, J. Comput. Phys.
     343, 2017) and p the previous direction, dropped when the Gram matrix is
-    not positive definite.  It stops on the flow's residual for the quadratic
-    form <u, A u> at unit mass, so GRAD_TOL and max_iters keep their meaning.
-    Returns (lambda, the number of updates of x, the last residual).
+    not positive definite.
     """
     dv = ws.grid.cell_volume
     precond = 1.0 / (FLOOR_SHIFT + ws.k2)
@@ -501,23 +500,20 @@ def _lowest_eigenvalue(
         scale = 1.0 / np.sqrt(v @ v * dv)
         return scale * v, scale * av
 
-    def rayleigh(v: np.ndarray, av: np.ndarray) -> float:
-        lam = float(v @ av) * dv
-        if not np.isfinite(lam):
-            raise NumericalAbort("Rayleigh quotient became non-finite")
-        return lam
-
-    def residual() -> float:
-        ksq = lam - float(potential @ (x * x)) * dv  # int |grad x|^2 at unit mass
-        return _grad_residual(x, 2.0 * ax, ksq, 1.0, dv)
-
     x = x.ravel()
     x, ax = unit(x, apply(x))
-    lam = rayleigh(x, ax)
     prev: tuple[np.ndarray, ...] = ()  # (p, A p) once there is a previous direction
     updates = 0
-    while updates < config.max_iters and residual() >= GRAD_TOL:
-        w = filtered(precond, ax - lam * x)
+    while True:
+        lam = float(x @ ax) * dv
+        if not np.isfinite(lam):
+            raise NumericalAbort("Rayleigh quotient became non-finite")
+        r = ax - lam * x
+        h1_sq = 1.0 + lam - float(potential @ (x * x)) * dv  # |x|_{H^1}^2 at unit mass
+        residual = 2.0 * float(np.sqrt(r @ r * dv / h1_sq))
+        if updates >= config.max_iters or residual < GRAD_TOL:
+            return lam, updates, residual
+        w = filtered(precond, r)
         w, aw = unit(w, apply(w))
         basis, abasis = np.array([x, w, *prev[:1]]), np.array([ax, aw, *prev[1:]])
         gram, hess = basis @ basis.T, basis @ abasis.T
@@ -530,9 +526,7 @@ def _lowest_eigenvalue(
         coef = inv.T @ np.linalg.eigh(inv @ (0.5 * (hess + hess.T)) @ inv.T)[1][:, 0]
         prev = unit(coef[1:] @ basis[1:], coef[1:] @ abasis[1:])
         x, ax = unit(coef @ basis, coef @ abasis)
-        lam = rayleigh(x, ax)
         updates += 1
-    return lam, updates, residual()
 
 
 def spectral_floor(
@@ -554,8 +548,8 @@ def spectral_floor(
     or above -Z^2/4 with Z = e^2 int rho / (4 pi): -3.97e-4 for the bench
     doping.  E linearizes to -Delta + e^2 S2, the floor's operator at e/sqrt(2).
     """
-    if not (0.0 < e < np.inf):
-        raise ValueError(f"coupling must be positive and finite, got {e}")
+    if not (e > 0.0 and float(e) * float(e) < np.inf):
+        raise ValueError(f"coupling must be positive and finite, with e^2 finite, got {e}")
     out = []
     for length in box_lengths:
         grid = Grid3(points_per_axis, float(length))

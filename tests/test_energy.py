@@ -65,6 +65,11 @@ class TestPhysParams:
         with pytest.raises(ValueError, match="positive and finite"):
             PhysParams(2.2, e)
 
+    def test_coupling_whose_square_overflows_is_rejected(self):
+        with pytest.raises(ValueError, match="positive and finite"):
+            PhysParams(2.1, 1e200)
+        assert PhysParams(2.1, 1e154).e == 1e154
+
     def test_regime_flag(self):
         assert PhysParams(2.2, 1.0).in_theory_regime
         assert not PhysParams(3.0, 1.0).in_theory_regime
@@ -530,3 +535,36 @@ class TestScalingCheck:
             with pytest.raises(ValueError, match=f"{state} state"):
                 scaling_check(width, a, b, 2.0, SpectralWorkspace(Grid3(16, 8.0)))
         assert not caught
+
+
+class TestDilationCovariance:
+    """Take A = B^(-2/(p-1)).  The state v(x) = A u(x/B) on the box B L at the
+    same N, with e' = e/(A B^2) and rho' = A^2 rho(x/B), has E'(v) = A^2 B E(u)
+    term by term and mass A^2 B^3 |u|^2: the samples of v are A times those
+    of u, so the map is exact on the grid and needs no oracle."""
+
+    P, E = 2.1, 0.3
+
+    @pytest.mark.parametrize("b", [0.5, 1.7, 2.0, 3.0])
+    @pytest.mark.parametrize("doping", ["gaussian", "ball"])
+    def test_breakdown_terms_scale_with_the_dilation(self, doping, b, grid32, ws32, rng):
+        a = b ** (-2.0 / (self.P - 1.0))
+        if doping == "gaussian":
+            profile, image = GaussianProfile(1.0, 1.0), GaussianProfile(a * a, 1.0 / b**2)
+        else:
+            profile = BallsProfile((BallSpec((0.5, 0.0, -0.25), 2.0, 1.0),))
+            image = BallsProfile((BallSpec((0.5 * b, 0.0, -0.25 * b), 2.0 * b, a * a),))
+        params, image_params = PhysParams(self.P, self.E), PhysParams(self.P, self.E / (a * b**2))
+        ws_b = SpectralWorkspace(Grid3(32, 16.0 * b))
+        u = ComplexField(grid32, smooth_random_complex(grid32, rng))
+        bd = energy_breakdown(u, profile, params, ws32)
+        img = energy_breakdown(ComplexField(ws_b.grid, a * u.values), image, image_params, ws_b)
+        for name in ("kinetic", "power", "energy"):
+            assert getattr(img, name) == pytest.approx(a * a * b * getattr(bd, name), rel=1e-13, abs=0.0)
+        for name in ("a0", "a1", "a2", "a3"):
+            scaled = a * a * b * params.e**2 * getattr(bd, name)
+            assert image_params.e**2 * getattr(img, name) == pytest.approx(scaled, rel=1e-13, abs=0.0)
+        assert img.mass == pytest.approx(a * a * b**3 * bd.mass, rel=1e-13, abs=0.0)
+        if doping == "ball":
+            # the scaled ball covers the scaled nodes: its samples are exact
+            assert np.array_equal(sample_rho(image, ws_b.grid), a * a * sample_rho(profile, grid32))

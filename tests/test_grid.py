@@ -162,6 +162,13 @@ class TestCoulombSolve:
     def test_zero_source(self, ws32):
         assert np.max(np.abs(ws32.coulomb(np.zeros((32,) * 3)))) < 1e-14
 
+    @pytest.mark.parametrize("shape", [(16, 16, 18), (16, 16, 8), (16, 16, 32), (8, 16, 16), (16, 16)])
+    def test_data_that_is_not_of_the_grid_shape_is_rejected(self, shape):
+        # short or missing zero padding would wrap the data around
+        ws = SpectralWorkspace(Grid3(16, 8.0))
+        with pytest.raises(ValueError, match="does not match grid"):
+            ws.coulomb(np.ones(shape))
+
     def test_gaussian_erf_profile(self, grid64, ws64):
         # f = |g|^2/2 for g = exp(-r^2/2): potential is (sqrt(pi)/8) erf(r)/r.
         r = np.sqrt(grid64.radius_sq())

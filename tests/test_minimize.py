@@ -1,8 +1,9 @@
 """Minimize module: the flow objective, the cold and warm starts, evaluation
 reuse in the flow, the flow's exits, input checks, the sweeps' and the mu*
 bisection's bookkeeping around minimize_at_mass, the spectral floor against
-a dense eigensolver, the radial free-space floor, and the small-mass slope
-of c(mu) against the operator E linearizes to."""
+a dense eigensolver, the radial free-space floor, the small-mass slope of
+c(mu) against the operator E linearizes to, and c under the dilation that
+moves e."""
 
 from types import SimpleNamespace
 
@@ -242,6 +243,18 @@ def test_gradient_residuals_are_python_floats():
     assert type(point.grad_res) is float
 
 
+@pytest.mark.parametrize("b", [0.5, 2.0, 3.0])
+def test_ground_energy_is_covariant_under_the_dilation_that_moves_e(b, solve_n16):
+    # with A = B^(-2/(p-1)), the problem at e/(A B^2), doping A^2 rho(x/B) and
+    # mass A^2 B^3 mu on the box B L has c' = A^2 B c; the flow's absolute
+    # tolerances are not covariant, so c' holds only to its convergence
+    a = b ** (-2.0 / 1.1)
+    ws = SpectralWorkspace(Grid3(16, 8.0 * b))
+    prof, params = GaussianProfile(a * a, 1.0 / b**2), PhysParams(2.1, 0.3 / (a * b * b))
+    res = minimize_at_mass(a * a * b**3 * 10.0, prof, params, MinimizeConfig(), ws)
+    assert res.c_value / (a * a * b) == pytest.approx(solve_n16[1].c_value, rel=1e-9, abs=0.0)
+
+
 def test_ball_ground_state_meets_the_pohozaev_identity(ws32):
     # A3 from S2 sees the same sampled indicator as A2; the surface form of
     # the continuum ball left a residual of 7e-4 here (3.2e-5 now)
@@ -279,7 +292,8 @@ def test_flow_without_a_descending_trial_stops_in_its_first_iteration():
 
 @pytest.mark.parametrize("exit", ["converged", "stall", "no_descent", "cap"])
 def test_flow_iterations_count_the_accepted_steps_on_every_exit(exit, monkeypatch):
-    # the start and every accepted step each take one gradient
+    # the start and every accepted step each take one gradient and one
+    # gradient residual
     objective, u0 = _flow_case()
     config = MinimizeConfig(max_iters=3 if exit == "cap" else 4000)
     if exit == "stall":
@@ -287,9 +301,17 @@ def test_flow_iterations_count_the_accepted_steps_on_every_exit(exit, monkeypatc
         monkeypatch.setattr(minimize, "STALL_ITERS", 5)
     elif exit == "no_descent":
         objective = _never_descends(objective, u0)
+    residuals, grad_residual = [], minimize._grad_residual
+
+    def recorded(*args):
+        residuals.append(grad_residual(*args))
+        return residuals[-1]
+
+    monkeypatch.setattr(minimize, "_grad_residual", recorded)
     calls = _Calls(objective)
     state = _normalized_flow(10.0, calls, u0, config)
-    assert state.iterations == calls.grads - 1
+    assert state.iterations == calls.grads - 1 == len(residuals) - 1
+    assert state.grad_res == residuals[-1]
     assert (state.grad_res < minimize.GRAD_TOL) is (exit == "converged")
     if exit != "converged":
         assert state.iterations == {"stall": 5, "no_descent": 0, "cap": 3}[exit]
@@ -526,6 +548,24 @@ def test_spectral_floor_without_the_previous_direction_matches_dense_eigenvalue(
     assert abs(pt.floor - dense) <= 1e-9 * abs(dense)
 
 
+def test_floor_residual_is_the_eigen_residual_over_the_h1_norm():
+    # capped at 0 updates, the eigensolver returns its start x at unit mass,
+    # with 2 |A x - lambda x|_2 / |x|_{H^1} and |x|_{H^1}^2 = 1 + int |grad x|^2
+    grid = Grid3(8, 8.0)
+    ws = SpectralWorkspace(grid)
+    potential = 2.0 * 0.3**2 * profile_fields(GaussianProfile(1.0, 1.0), ws).s2
+    x0 = np.exp(-grid.radius_sq() / 4.5)
+    lam, updates, residual = minimize._lowest_eigenvalue(potential, ws, x0, MinimizeConfig(max_iters=0))
+    dv = grid.cell_volume
+    x = x0 / np.sqrt(np.sum(x0**2) * dv)
+    xhat = np.fft.fftn(x)
+    ax = np.fft.ifftn(ws.k2 * xhat).real + potential * x
+    grad_sq = float(np.sum(ws.k2 * np.abs(xhat) ** 2)) * dv / grid.n**3
+    assert updates == 0 and lam == pytest.approx(float(np.sum(x * ax)) * dv, rel=1e-12)
+    expected = 2.0 * np.sqrt(np.sum((ax - lam * x) ** 2) * dv / (1.0 + grad_sq))
+    assert residual == pytest.approx(expected, rel=1e-10) and residual > minimize.GRAD_TOL
+
+
 def test_spectral_floor_converges_in_few_iterations():
     (pt,) = spectral_floor(GaussianProfile(1.0, 1.0), 0.3, (16.0,), MinimizeConfig(), 16)
     assert pt.converged and pt.iterations <= 30
@@ -545,7 +585,7 @@ def test_spectral_floor_reports_the_iteration_cap():
     assert (pt.converged, pt.iterations) == (False, 2)
 
 
-@pytest.mark.parametrize("e", [0.0, float("nan"), float("inf")])
+@pytest.mark.parametrize("e", [0.0, float("nan"), float("inf"), 1e200])
 def test_spectral_floor_rejects_a_coupling_that_is_not_positive_and_finite(e):
     with pytest.raises(ValueError, match="positive and finite"):
         spectral_floor(GaussianProfile(1.0, 1.0), e, (8.0,), MinimizeConfig(), 8)
