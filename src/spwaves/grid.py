@@ -11,6 +11,12 @@ data to (2N)^3 and applies a truncated-kernel spectrum, so the result
 approximates the Newtonian potential of the data rather than its periodic
 images.  It has no boundary policy; ``boundary_mass_fraction`` measures how
 much of a field reaches the edge of the box.
+
+Every transform here takes its worker count from the grid size N alone:
+one worker below _FFT_THREADED_N, where threads cost more than they save,
+and _FFT_WORKERS (all CPUs) at or above it.  The policy moves no bit:
+pocketfft computes each 1-D line of a batch on its own, so how the lines
+are split between threads does not change a result.
 """
 
 from __future__ import annotations
@@ -34,7 +40,17 @@ __all__ = [
     "boundary_mass_fraction",
 ]
 
+# Workers of the transforms on grids of N >= _FFT_THREADED_N; smaller grids
+# use one.  One evaluation with gradient on 2 CPUs took 5.6 ms with one
+# worker and 6.6 ms with two at N=32, 19 ms either way at N=48, and 59
+# against 51 ms at N=64 (medians of 21 interleaved runs).
 _FFT_WORKERS = -1
+_FFT_THREADED_N = 64
+
+
+def _fft_workers(n: int) -> int:
+    """Worker count of every transform on a grid of N = n points per axis."""
+    return _FFT_WORKERS if n >= _FFT_THREADED_N else 1
 
 
 class GridMismatchError(ValueError):
@@ -197,6 +213,7 @@ def _unit_kernel_hat(n: int) -> np.ndarray:
     n2, n4 = 2 * n, 4 * n
     k1 = 2.0 * np.pi * sfft.fftfreq(n4, d=1.0 / n)
     kr = 2.0 * np.pi * sfft.rfftfreq(n4, d=1.0 / n)
+    workers = _fft_workers(n)
     h = n2 + 1  # wavenumbers 0..2N; rows and columns h.. mirror 2N-1..1
     lo, hi = n + 1, n4 - n + 1  # kept offsets 0..N, then -(N-1)..-1
     ix, iy = np.triu_indices(h)  # k_x <= k_y
@@ -212,24 +229,24 @@ def _unit_kernel_hat(n: int) -> np.ndarray:
         slab[ix, iy] = tri
         slab[iy, ix] = tri
         slab[h:] = slab[h - 2 : 0 : -1]
-        slab = sfft.ifft(slab, axis=0, norm="forward", overwrite_x=True, workers=_FFT_WORKERS)
+        slab = sfft.ifft(slab, axis=0, norm="forward", overwrite_x=True, workers=workers)
         part = np.empty((n2, n4, w), dtype=np.complex128)
         part[:lo, :h] = slab[:lo]
         part[lo:, :h] = slab[hi:]
         del slab
         part[:, h:] = part[:, h - 2 : 0 : -1]
-        part = sfft.ifft(part, axis=1, norm="forward", overwrite_x=True, workers=_FFT_WORKERS)
+        part = sfft.ifft(part, axis=1, norm="forward", overwrite_x=True, workers=workers)
         pruned[:, :lo, cols] = part[:, :lo]
         pruned[:, lo:, cols] = part[:, hi:]
     del part, ix, iy, kxy
-    full = sfft.irfft(pruned, n=n4, axis=2, norm="forward", workers=_FFT_WORKERS)
+    full = sfft.irfft(pruned, n=n4, axis=2, norm="forward", workers=workers)
     del pruned
     kernel = np.empty((n2, n2, n2))
     kernel[:, :, :lo] = full[:, :, :lo]
     kernel[:, :, lo:] = full[:, :, hi:]
     del full
     kernel *= 1.0 / n4**3
-    khat = sfft.rfftn(kernel, workers=_FFT_WORKERS).real.copy()
+    khat = sfft.rfftn(kernel, workers=workers).real.copy()
     # Tiny negative excursions from windowing the periodized kernel are
     # clipped so the solve stays positive semidefinite mode-wise.
     np.maximum(khat, 0.0, out=khat)
@@ -250,6 +267,12 @@ class SpectralWorkspace:
     build it.  Solves keep no scratch state, and fields are immutable and may
     move between threads freely.
 
+    Its transforms, the Coulomb solve's included, run on ``workers``
+    threads, fixed by N alone (see the module docstring); no result depends
+    on that count.  ``fft``/``ifft`` transform complex data, ``rfft``/
+    ``irfft`` real data, whose spectrum is the half ``k2[..., :N//2 + 1]``
+    of the table.
+
     A grid whose kernel build would need more than the host's physical
     memory raises MemoryError here, before anything is allocated.
     """
@@ -264,6 +287,7 @@ class SpectralWorkspace:
             )
         self.grid = grid
         self.k2 = grid.wavenumber_sq()
+        self.workers = _fft_workers(grid.n)
 
     @property
     def kernel_hat(self) -> np.ndarray:
@@ -272,10 +296,18 @@ class SpectralWorkspace:
         return self.grid.length**2 * _unit_kernel_hat(self.grid.n)
 
     def fft(self, values: np.ndarray) -> np.ndarray:
-        return sfft.fftn(values, workers=_FFT_WORKERS)
+        return sfft.fftn(values, workers=self.workers)
 
     def ifft(self, values: np.ndarray) -> np.ndarray:
-        return sfft.ifftn(values, workers=_FFT_WORKERS)
+        return sfft.ifftn(values, workers=self.workers)
+
+    def rfft(self, values: np.ndarray) -> np.ndarray:
+        """Spectrum of real grid data, of shape (N, N, N//2 + 1)."""
+        return sfft.rfftn(values, workers=self.workers)
+
+    def irfft(self, spectrum: np.ndarray) -> np.ndarray:
+        """Real grid data of an (N, N, N//2 + 1) spectrum: the inverse of rfft."""
+        return sfft.irfftn(spectrum, s=self.k2.shape, workers=self.workers)
 
     def coulomb(self, values: np.ndarray) -> np.ndarray:
         """(-Delta)^{-1} applied to real data: the free-space potential.
@@ -301,19 +333,19 @@ class SpectralWorkspace:
         # as few slabs as the budget allows, of near-equal width
         per_slab = max(1, _SOLVE_SLAB_BYTES // (16 * n2 * n2))
         width = -(-(n + 1) // -(-(n + 1) // per_slab))
-        vhat = sfft.rfft(values, n=n2, axis=2, workers=_FFT_WORKERS)
+        vhat = sfft.rfft(values, n=n2, axis=2, workers=self.workers)
         for k0 in range(0, n + 1, width):
             cols = slice(k0, k0 + width)
-            part = sfft.fft(vhat[:, :, cols], n=n2, axis=0, workers=_FFT_WORKERS)
-            part = sfft.fft(part, n=n2, axis=1, workers=_FFT_WORKERS)
+            part = sfft.fft(vhat[:, :, cols], n=n2, axis=0, workers=self.workers)
+            part = sfft.fft(part, n=n2, axis=1, workers=self.workers)
             part *= unit[:, :, cols]
-            part = sfft.ifft(part, axis=0, norm="forward", overwrite_x=True, workers=_FFT_WORKERS)
-            part = sfft.ifft(part[:n], axis=1, norm="forward", overwrite_x=True, workers=_FFT_WORKERS)
+            part = sfft.ifft(part, axis=0, norm="forward", overwrite_x=True, workers=self.workers)
+            part = sfft.ifft(part[:n], axis=1, norm="forward", overwrite_x=True, workers=self.workers)
             vhat[:, :, cols] = part[:, :n]
             # part is a view of the whole (2N, 2N) slab: free it before the
             # next slab's passes allocate theirs
             del part
-        v = sfft.irfft(vhat, n=n2, axis=2, norm="forward", overwrite_x=True, workers=_FFT_WORKERS)
+        v = sfft.irfft(vhat, n=n2, axis=2, norm="forward", overwrite_x=True, workers=self.workers)
         return v[..., :n] * (self.grid.length**2 / n2**3)
 
 
@@ -332,14 +364,15 @@ def x_dot_grad(values: np.ndarray, grid: Grid3) -> np.ndarray:
     of the periodic interpolant with its Nyquist modes dropped, so f should
     be smooth where the result is weighted."""
     grid.require_shape(values)
-    fhat = sfft.rfftn(values, workers=_FFT_WORKERS)
+    workers = _fft_workers(grid.n)
+    fhat = sfft.rfftn(values, workers=workers)
     k = grid.wavenumbers()
     kz = 2.0 * np.pi * sfft.rfftfreq(grid.n, d=grid.spacing)
     k[grid.n // 2] = kz[-1] = 0.0
     x, y, z = grid.coords()
 
     def derivative(ik: np.ndarray) -> np.ndarray:
-        return sfft.irfftn(ik * fhat, s=values.shape, workers=_FFT_WORKERS)
+        return sfft.irfftn(ik * fhat, s=values.shape, workers=workers)
 
     return x * derivative(1j * k[:, None, None]) + y * derivative(1j * k[None, :, None]) + z * derivative(1j * kz)
 

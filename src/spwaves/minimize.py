@@ -182,6 +182,8 @@ def _normalized_flow(mu: float, objective, u0: np.ndarray, config: MinimizeConfi
 
     while True:
         grad_res = _grad_residual(vals, grad, ksq, mu, dv)
+        if not np.isfinite(grad_res):
+            raise NumericalAbort("gradient residual became non-finite")
         if steps >= config.max_iters or grad_res < GRAD_TOL or stall_count >= STALL_ITERS:
             return _FlowState(vals, steps, grad_res)
         if prev_vals is not None:
@@ -243,17 +245,21 @@ def minimize_at_mass(
     otherwise from the lowest-energy real Gaussian of ten widths (a cold
     start).  A start on another grid raises GridMismatchError.  converged
     means the last gradient residual is below GRAD_TOL, whatever ended the
-    flow, the iteration cap included; a NaN energy raises NumericalAbort.
+    flow, the iteration cap included.  A non-finite energy or gradient
+    residual, or an overflow or invalid operation anywhere in the start or
+    the flow, raises NumericalAbort, whatever the warning filters say.
     """
     if not (mu > 0.0 and np.isfinite(mu)):
         raise ValueError(f"mass must be positive and finite, got {mu}")
     objective = _Objective(profile, params, ws)
-    if start is None:
-        u0 = _cold_start(mu, objective)
-    else:
+    if start is not None:
         ws.grid.require_same(start.grid)
-        u0 = start.values
-    state = _normalized_flow(mu, objective, u0, config)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            u0 = _cold_start(mu, objective) if start is None else start.values
+            state = _normalized_flow(mu, objective, u0, config)
+    except FloatingPointError as exc:
+        raise NumericalAbort(f"the flow's arithmetic failed: {exc}") from exc
 
     u = ComplexField(ws.grid, state.vals)
     bd = energy_breakdown(u, profile, params, ws)
@@ -485,23 +491,25 @@ def _lowest_eigenvalue(
     P = (FLOOR_SHIFT - Delta)^-1 (Antoine, Levitt & Tang, J. Comput. Phys.
     343, 2017) and p the previous direction, dropped when the Gram matrix is
     not positive definite.
+
+    The transforms are real, on the rfft half of ``ws.k2``: the start costs
+    one rfft and one irfft, and each update one rfft and two irffts,
+    r^ = rfft(r), w = irfft(P r^) and A w = irfft(k^2 P r^) + potential w,
+    so A w needs no transform of w.
     """
     dv = ws.grid.cell_volume
-    precond = 1.0 / (FLOOR_SHIFT + ws.k2)
+    shape = ws.k2.shape
+    k2 = ws.k2[..., : ws.grid.n // 2 + 1]  # the rfft half of the table
+    precond = 1.0 / (FLOOR_SHIFT + k2)
+    k2_precond = k2 * precond
     potential = potential.ravel()
-
-    def filtered(symbol: np.ndarray, v: np.ndarray) -> np.ndarray:
-        return ws.ifft(symbol * ws.fft(v.reshape(ws.k2.shape))).real.ravel()
-
-    def apply(v: np.ndarray) -> np.ndarray:
-        return filtered(ws.k2, v) + potential * v
 
     def unit(v: np.ndarray, av: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         scale = 1.0 / np.sqrt(v @ v * dv)
         return scale * v, scale * av
 
     x = x.ravel()
-    x, ax = unit(x, apply(x))
+    x, ax = unit(x, ws.irfft(k2 * ws.rfft(x.reshape(shape))).ravel() + potential * x)
     prev: tuple[np.ndarray, ...] = ()  # (p, A p) once there is a previous direction
     updates = 0
     while True:
@@ -513,8 +521,9 @@ def _lowest_eigenvalue(
         residual = 2.0 * float(np.sqrt(r @ r * dv / h1_sq))
         if updates >= config.max_iters or residual < GRAD_TOL:
             return lam, updates, residual
-        w = filtered(precond, r)
-        w, aw = unit(w, apply(w))
+        rhat = ws.rfft(r.reshape(shape))
+        w = ws.irfft(precond * rhat).ravel()
+        w, aw = unit(w, ws.irfft(k2_precond * rhat).ravel() + potential * w)
         basis, abasis = np.array([x, w, *prev[:1]]), np.array([ax, aw, *prev[1:]])
         gram, hess = basis @ basis.T, basis @ abasis.T
         try:

@@ -335,18 +335,23 @@ class TestKernel:
         assert 0.75 * estimate < peak <= estimate
 
     def test_build_and_solve_do_not_depend_on_the_worker_count(self, monkeypatch, rng):
-        # The mirrors copy one transform's output for another's, which holds
-        # only if a 1-D transform's bits do not depend on how the batch is
-        # split between threads.
-        ws = SpectralWorkspace(Grid3(16, 8.0))
-        f = rng.standard_normal((16,) * 3)
-        runs = []
-        for workers in (1, -1):
-            monkeypatch.setattr("spwaves.grid._FFT_WORKERS", workers)
-            runs.append((_unit_kernel_hat.__wrapped__(16), ws.coulomb(f)))
-        (kernel1, v1), (kernel_all, v_all) = runs
-        assert np.array_equal(kernel1, kernel_all)
-        assert np.array_equal(v1, v_all)
+        # The mirrors copy one transform's output for another's, and the
+        # worker count follows the grid size; both hold only if a 1-D
+        # transform's bits do not depend on how the batch is split between
+        # threads.  One worker and all workers are forced at each size.
+        for n in (16, 32):
+            f = rng.standard_normal((n,) * 3)
+            runs = []
+            for workers in (1, -1):
+                monkeypatch.setattr("spwaves.grid._fft_workers", lambda size, w=workers: w)
+                ws = SpectralWorkspace(Grid3(n, 8.0))
+                assert ws.workers == workers
+                fhat = ws.rfft(f)
+                runs.append(
+                    (_unit_kernel_hat.__wrapped__(n), ws.coulomb(f), ws.fft(f), ws.ifft(f), fhat, ws.irfft(fhat))
+                )
+            for one, every in zip(*runs):
+                assert np.array_equal(one, every)
 
     def test_grid_too_large_for_memory_fails_before_allocating(self):
         physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
@@ -367,6 +372,29 @@ class TestRoundTrip:
         vals = rng.standard_normal((32,) * 3) + 1j * rng.standard_normal((32,) * 3)
         back = ws32.ifft(ws32.fft(vals))
         assert np.max(np.abs(back - vals)) / np.max(np.abs(vals)) < 1e-12
+
+    @pytest.mark.parametrize("n", [10, 32])
+    def test_rfft_round_trip(self, n, rng):
+        ws = SpectralWorkspace(Grid3(n, 8.0))
+        vals = rng.standard_normal((n,) * 3)
+        back = ws.irfft(ws.rfft(vals))
+        assert back.shape == vals.shape and back.dtype == np.float64
+        assert np.max(np.abs(back - vals)) / np.max(np.abs(vals)) < 1e-12
+
+    def test_rfft_is_the_half_spectrum_of_fft(self, ws32, rng):
+        vals = rng.standard_normal((32,) * 3)
+        full = ws32.fft(vals)
+        assert np.max(np.abs(ws32.rfft(vals) - full[..., :17])) / np.max(np.abs(full)) < 1e-12
+
+    @pytest.mark.parametrize("n", [10, 32])
+    def test_half_of_the_k2_table_is_the_rfft_table(self, n):
+        # the last column of the half, k_z = -pi N/L in fftfreq's layout, is
+        # +pi N/L in rfftfreq's, and their squares agree exactly
+        grid = Grid3(n, 6.0)
+        k = grid.wavenumbers()
+        kz = 2.0 * np.pi * sfft.rfftfreq(n, d=grid.spacing)
+        half = (k**2)[:, None, None] + (k**2)[None, :, None] + (kz**2)[None, None, :]
+        assert np.array_equal(SpectralWorkspace(grid).k2[..., : n // 2 + 1], half)
 
 
 class TestBoundaryMass:

@@ -5,10 +5,12 @@ a dense eigensolver, the radial free-space floor, the small-mass slope of
 c(mu) against the operator E linearizes to, and c under the dilation that
 moves e."""
 
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.fft as sfft
 from scipy.special import erf
 
 from spwaves import minimize
@@ -323,6 +325,36 @@ def test_warm_start_without_mass_aborts(grid24, ws24):
         minimize_at_mass(1.0, ZeroProfile(), PhysParams(2.1, 0.3), MinimizeConfig(), ws24, start=zero)
 
 
+OVERFLOWING = (GaussianProfile(1.0, 1.0), PhysParams(2.1, 1e100), MinimizeConfig(max_iters=3))
+
+
+def test_a_flow_that_overflows_aborts_under_any_warning_filter():
+    # e^2 = 1e200 is finite, but |grad E|^2 of a unit-mass state is not;
+    # the solve used to return c = -6e198 with a residual of inf
+    profile, params, config = OVERFLOWING
+    ws = SpectralWorkspace(Grid3(8, 8.0))
+    for action in ("error", "ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter(action)
+            with pytest.raises(NumericalAbort, match="overflow"):
+                minimize_at_mass(1.0, profile, params, config, ws)
+
+
+def test_c_curve_turns_an_overflowing_flow_into_a_nan_row():
+    profile, params, config = OVERFLOWING
+    table = c_curve([1.0], profile, params, config, SpectralWorkspace(Grid3(8, 8.0)))
+    (pt,) = table.points
+    assert pt.mu == 1.0 and pt.iterations == 0
+    assert all(np.isnan(v) for v in (pt.c, pt.omega, pt.pohozaev, pt.grad_res))
+
+
+def test_a_non_finite_gradient_residual_aborts(monkeypatch):
+    objective, u0 = _flow_case()
+    monkeypatch.setattr(minimize, "_grad_residual", lambda *args: np.inf)
+    with pytest.raises(NumericalAbort, match="residual became non-finite"):
+        _normalized_flow(10.0, objective, u0, MinimizeConfig())
+
+
 def test_objective_of_a_nan_state_aborts():
     objective, u0 = _flow_case()
     with pytest.raises(NumericalAbort, match="non-finite"):
@@ -564,6 +596,32 @@ def test_floor_residual_is_the_eigen_residual_over_the_h1_norm():
     assert updates == 0 and lam == pytest.approx(float(np.sum(x * ax)) * dv, rel=1e-12)
     expected = 2.0 * np.sqrt(np.sum((ax - lam * x) ** 2) * dv / (1.0 + grad_sq))
     assert residual == pytest.approx(expected, rel=1e-10) and residual > minimize.GRAD_TOL
+
+
+def test_floor_transforms_real_data_once_per_update(monkeypatch):
+    # the start costs one rfft and one irfft, each update one rfft of r and
+    # two irffts, of P r^ and k^2 P r^; nothing else is transformed
+    grid = Grid3(16, 8.0)
+    ws = SpectralWorkspace(grid)
+    potential = 2.0 * 0.3**2 * profile_fields(GaussianProfile(1.0, 1.0), ws).s2
+    calls = dict.fromkeys(["fft", "ifft", "rfft", "irfft", "coulomb", "scipy complex"], 0)
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return call
+
+    for name in ("fft", "ifft", "rfft", "irfft", "coulomb"):
+        monkeypatch.setattr(ws, name, counted(name, getattr(ws, name)))
+    for name in ("fft", "ifft", "fftn", "ifftn"):
+        monkeypatch.setattr(sfft, name, counted("scipy complex", getattr(sfft, name)))
+    x0 = np.exp(-grid.radius_sq() / 8.0)
+    lam, updates, residual = minimize._lowest_eigenvalue(potential, ws, x0, MinimizeConfig())
+    assert updates > 0 and residual < minimize.GRAD_TOL
+    expected = {"rfft": 1 + updates, "irfft": 1 + 2 * updates}
+    assert calls == {**dict.fromkeys(calls, 0), **expected}
 
 
 def test_spectral_floor_converges_in_few_iterations():
