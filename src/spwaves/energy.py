@@ -30,6 +30,14 @@ The full energy is scriptE = E + e^2 A0.  A2 is computed in its S2 form
 only.  The S1 form equals it because the Coulomb solve is symmetric,
 <coulomb(f), g> = <f, coulomb(g)>, which test_coulomb_solve_is_symmetric
 in tests/test_energy.py checks.
+
+energy_breakdown and grad_E share one slot: the Evaluation of the last
+state either was asked about, keyed by the identity of the ComplexField and
+of the workspace.  So a breakdown and a gradient of one state cost one FFT
+and one Coulomb solve between them.  The slot holds the last state only,
+and both referents weakly: it empties when either one dies.  Identity is a
+sound key because a ComplexField is immutable, and an Evaluation depends on
+neither the profile nor the parameters.
 """
 
 from __future__ import annotations
@@ -41,6 +49,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+import scipy.fft as sfft
 
 from .grid import ComplexField, Grid3, SpectralWorkspace, x_dot_grad
 from .profiles import DopingProfile, sample_rho
@@ -151,16 +160,20 @@ def _abs_sq(values: np.ndarray) -> np.ndarray:
 class Evaluation:
     """One state's density, spectrum, |grad u|^2, S1 and A1, from one forward
     FFT and one Coulomb solve.  Every energy, gradient and breakdown in the
-    package is derived from one of these."""
+    package is derived from one of these; energy_breakdown and grad_E keep
+    the last one (see the module docstring).  It keeps the workspace's k2
+    table and worker count, not the workspace, so a kept Evaluation does not
+    keep its workspace alive."""
 
     def __init__(self, vals: np.ndarray, ws: SpectralWorkspace):
         self.vals = vals
-        self.ws = ws
+        self.k2 = ws.k2
+        self.workers = ws.workers
         self.dv = dv = ws.grid.cell_volume
         self.dens = _abs_sq(vals)
         self.mass = float(np.sum(self.dens)) * dv
         self.uhat = ws.fft(vals)
-        self.grad_sq = float(np.sum(ws.k2 * _abs_sq(self.uhat))) * dv * (1.0 / ws.grid.n**3)
+        self.grad_sq = float(np.sum(self.k2 * _abs_sq(self.uhat))) * dv * (1.0 / ws.grid.n**3)
         self.s1 = ws.coulomb(0.5 * self.dens)
         self.a1 = 0.25 * float(np.sum(self.s1 * self.dens)) * dv
 
@@ -174,8 +187,26 @@ class Evaluation:
     def gradient(self, fields: ProfileFields, params: PhysParams) -> np.ndarray:
         """L^2 gradient of E: -Delta u - |u|^{p-1} u + e^2 (S1(u) + S2) u."""
         p, e2 = params.p, params.e**2
-        lap = self.ws.ifft(-self.ws.k2 * self.uhat)
+        lap = sfft.ifftn(-self.k2 * self.uhat, workers=self.workers)
         return -lap - self.dens ** ((p - 1.0) / 2.0) * self.vals + e2 * (self.s1 + fields.s2) * self.vals
+
+    def breakdown(self, fields: ProfileFields, params: PhysParams) -> EnergyBreakdown:
+        """Every energy component of the state, from the same terms as the
+        flow's objective E."""
+        energy, power, a2 = self.energy_terms(fields, params)
+        return EnergyBreakdown(
+            kinetic=0.5 * self.grad_sq,
+            power=power,
+            a0=fields.a0,
+            a1=self.a1,
+            a2=a2,
+            a3=float(np.sum(self.dens * fields.a3_weight)) * self.dv,
+            energy=energy,
+            script_energy=energy + params.e**2 * fields.a0,
+            mass=self.mass,
+            p=params.p,
+            e=params.e,
+        )
 
 
 @dataclass(frozen=True)
@@ -203,6 +234,35 @@ class EnergyBreakdown:
         return (self.p + 1.0) * self.power
 
 
+# The slot: (weak ref to a ComplexField, weak ref to a workspace, the
+# field's Evaluation on that workspace), or None.  The callback is a module
+# function, not a closure over the entry, so the entry is in no reference
+# cycle and goes as soon as the slot lets it go.
+_LAST: tuple[weakref.ref, weakref.ref, Evaluation] | None = None
+
+
+def _drop(ref: weakref.ref) -> None:
+    """Empty the slot when the field or workspace it is keyed on dies."""
+    global _LAST
+    last = _LAST
+    if last is not None and (ref is last[0] or ref is last[1]):
+        _LAST = None
+
+
+def _evaluation(u: ComplexField, ws: SpectralWorkspace) -> Evaluation:
+    """u's Evaluation on ws: the slot's if it is keyed on this very field and
+    workspace, else a new one, which takes the slot.  Each call reads the
+    slot once, so threads sharing it at worst miss."""
+    global _LAST
+    last = _LAST
+    if last is not None and last[0]() is u and last[1]() is ws:
+        return last[2]
+    _LAST = None  # let the old Evaluation go before the new one is built
+    ev = Evaluation(u.values, ws)
+    _LAST = (weakref.ref(u, _drop), weakref.ref(ws, _drop), ev)
+    return ev
+
+
 def energy_breakdown(
     u: ComplexField,
     profile: DopingProfile,
@@ -210,27 +270,11 @@ def energy_breakdown(
     ws: SpectralWorkspace,
 ) -> EnergyBreakdown:
     """All energy components of u, from the same terms as the flow's
-    objective E.  A state on another grid than the workspace raises
-    GridMismatchError."""
+    objective E, on u's Evaluation from the slot: grad_E of the same field
+    and workspace right after costs no second solve.  A state on another
+    grid than the workspace raises GridMismatchError."""
     ws.grid.require_same(u.grid)
-    fields = profile_fields(profile, ws)
-    ev = Evaluation(u.values, ws)
-    energy, power, a2 = ev.energy_terms(fields, params)
-    a3 = float(np.sum(ev.dens * fields.a3_weight)) * ev.dv
-
-    return EnergyBreakdown(
-        kinetic=0.5 * ev.grad_sq,
-        power=power,
-        a0=fields.a0,
-        a1=ev.a1,
-        a2=a2,
-        a3=a3,
-        energy=energy,
-        script_energy=energy + params.e**2 * fields.a0,
-        mass=ev.mass,
-        p=params.p,
-        e=params.e,
-    )
+    return _evaluation(u, ws).breakdown(profile_fields(profile, ws), params)
 
 
 def grad_E(
@@ -239,10 +283,12 @@ def grad_E(
     params: PhysParams,
     ws: SpectralWorkspace,
 ) -> ComplexField:
-    """L^2 gradient of E: -Delta u - |u|^{p-1} u + e^2 (S1(u) + S2) u.
-    A state on another grid than the workspace raises GridMismatchError."""
+    """L^2 gradient of E: -Delta u - |u|^{p-1} u + e^2 (S1(u) + S2) u, on
+    u's Evaluation from the slot, which energy_breakdown of the same field
+    and workspace may already have made.  A state on another grid than the
+    workspace raises GridMismatchError."""
     ws.grid.require_same(u.grid)
-    return ComplexField(u.grid, Evaluation(u.values, ws).gradient(profile_fields(profile, ws), params))
+    return ComplexField(u.grid, _evaluation(u, ws).gradient(profile_fields(profile, ws), params))
 
 
 def lagrange_multiplier(breakdown: EnergyBreakdown) -> float:
@@ -376,6 +422,8 @@ def scaling_check(
     if not (amplitude != 0.0 and np.isfinite(amplitude)):
         raise ValueError(f"amplitude must be nonzero and finite, got {amplitude}")
     grid = ws.grid
+    global _LAST
+    _LAST = None  # the slot's Evaluation would stay resident next to these
 
     origin = tuple(np.argmin(np.abs(grid.axis_coords())) for _ in range(3))
 

@@ -120,32 +120,39 @@ class Grid3:
             raise ValueError(f"array shape {np.shape(values)} does not match grid {shape}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ComplexField:
-    """A state: complex samples on a Grid3, of the grid's shape and finite."""
+    """A state: complex samples on a Grid3, of the grid's shape and finite.
+
+    Immutable: ``values`` is a read-only copy of the samples it was made
+    from, so no array the caller still holds can write through to it.  Two
+    fields compare and hash by identity, which is what ``energy`` keys its
+    last evaluation on."""
 
     grid: Grid3
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.complex128)
+        values = np.array(self.values, dtype=np.complex128)
         self.grid.require_shape(values)
         if not np.all(np.isfinite(values)):
             raise ValueError("field contains non-finite entries")
+        values.flags.writeable = False
         object.__setattr__(self, "values", values)
 
 
-def coulomb_kernel_spectrum(kmag: np.ndarray, radius: float) -> np.ndarray:
+def coulomb_kernel_spectrum(kmag: np.ndarray, radius: float, out: np.ndarray | None = None) -> np.ndarray:
     """Analytic spectrum of the Coulomb kernel truncated at |x| = radius.
 
     (1 - cos(T|k|)) / |k|^2 with the limiting value T^2/2 at k = 0; the
-    spectrum is nonnegative for every k.
+    spectrum is nonnegative for every k.  It is written to ``out`` if
+    given, a float64 array of kmag's shape, which may be kmag itself.
     """
     kmag = np.asarray(kmag, dtype=np.float64)
     small = kmag < 1e-12
     safe = np.where(small, 1.0, kmag)
     # out= keeps a 0-d input an array, which the in-place steps need
-    out = np.multiply(safe, radius, out=np.empty_like(safe))
+    out = np.multiply(safe, radius, out=np.empty_like(safe) if out is None else out)
     np.cos(out, out=out)
     np.subtract(1.0, out, out=out)
     out /= np.square(safe, out=safe)
@@ -225,7 +232,10 @@ def _unit_kernel_hat(n: int) -> np.ndarray:
         # Complex from the start: a real input takes pocketfft's real-input
         # path, which rounds differently from irfftn.
         slab = np.empty((n4, h, w), dtype=np.complex128)
-        tri = coulomb_kernel_spectrum(np.sqrt(kxy[:, None] + (kr[cols] ** 2)[None, :]), np.sqrt(3.0))
+        # |k| and the spectrum share one buffer: fewer slab-sized temporaries
+        # land on the heap, where glibc keeps them resident after the build
+        tri = np.add(kxy[:, None], (kr[cols] ** 2)[None, :])
+        coulomb_kernel_spectrum(np.sqrt(tri, out=tri), np.sqrt(3.0), out=tri)
         slab[ix, iy] = tri
         slab[iy, ix] = tri
         slab[h:] = slab[h - 2 : 0 : -1]
@@ -264,8 +274,8 @@ class SpectralWorkspace:
     the box's L^2 once, at the end.  ``kernel_hat`` returns a fresh scaled
     copy, for inspection only.  The first solve per N builds the shared unit
     kernel, unguarded, so concurrent workers that reach an unbuilt N each
-    build it.  Solves keep no scratch state, and fields are immutable and may
-    move between threads freely.
+    build it.  Solves keep no scratch state, and fields are immutable (their
+    values are read-only copies) and may move between threads freely.
 
     Its transforms, the Coulomb solve's included, run on ``workers``
     threads, fixed by N alone (see the module docstring); no result depends

@@ -29,7 +29,6 @@ from .energy import (
     EnergyBreakdown,
     Evaluation,
     PhysParams,
-    energy_breakdown,
     lagrange_multiplier,
     pohozaev_residual,
     profile_fields,
@@ -118,7 +117,8 @@ class _Objective:
 
     The flow asks for the gradient at the very array it just accepted and
     never changes an array in place, so the last Evaluation and its energy
-    are reused when the array is the same object."""
+    are reused when the array is the same object; so is the Evaluation that
+    minimize_at_mass reads its breakdown from."""
 
     def __init__(self, profile: DopingProfile, params: PhysParams, ws: SpectralWorkspace):
         self.fields = profile_fields(profile, ws)
@@ -127,11 +127,16 @@ class _Objective:
         self.dv = ws.grid.cell_volume
         self._last: tuple[Evaluation, float] | None = None
 
-    def __call__(self, vals: np.ndarray, need_grad: bool):
+    def evaluation(self, vals: np.ndarray) -> tuple[Evaluation, float]:
+        """The Evaluation of vals and its energy E: the last ones if vals is
+        the array they were made of, else new ones, kept as the last."""
         if self._last is None or self._last[0].vals is not vals:
             ev = Evaluation(vals, self.ws)
             self._last = ev, ev.energy_terms(self.fields, self.params)[0]
-        ev, energy = self._last
+        return self._last
+
+    def __call__(self, vals: np.ndarray, need_grad: bool):
+        ev, energy = self.evaluation(vals)
         if not np.isfinite(energy):
             raise NumericalAbort("energy became non-finite")
         grad = ev.gradient(self.fields, self.params) if need_grad else None
@@ -248,6 +253,8 @@ def minimize_at_mass(
     flow, the iteration cap included.  A non-finite energy or gradient
     residual, or an overflow or invalid operation anywhere in the start or
     the flow, raises NumericalAbort, whatever the warning filters say.
+    The breakdown reuses the flow's Evaluation of its last iterate, which
+    every exit but "no descent" (whose last Evaluation is a trial's) has.
     """
     if not (mu > 0.0 and np.isfinite(mu)):
         raise ValueError(f"mass must be positive and finite, got {mu}")
@@ -262,7 +269,7 @@ def minimize_at_mass(
         raise NumericalAbort(f"the flow's arithmetic failed: {exc}") from exc
 
     u = ComplexField(ws.grid, state.vals)
-    bd = energy_breakdown(u, profile, params, ws)
+    bd = objective.evaluation(state.vals)[0].breakdown(objective.fields, params)
     omega = lagrange_multiplier(bd)
     residuals = {"pohozaev": pohozaev_residual(bd, omega).normalized, "gradient": state.grad_res}
     return MinimizerResult(

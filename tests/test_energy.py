@@ -8,6 +8,8 @@ Closed-form Gaussian oracles:
 """
 
 import gc
+import sys
+import threading
 import warnings
 import weakref
 
@@ -15,6 +17,7 @@ import numpy as np
 import pytest
 from scipy.special import erf
 
+from spwaves import minimize
 from spwaves.energy import (
     Evaluation,
     PhysParams,
@@ -321,6 +324,179 @@ class TestGradE:
             directional = (energy_of(u.values + t * phi) - energy_of(u.values - t * phi)) / (2.0 * t)
             pairing = (np.vdot(g.values, phi) * grid32.cell_volume).real
             assert directional == pytest.approx(pairing, rel=1e-6)
+
+
+def _count_coulomb(monkeypatch):
+    """Count every Coulomb solve, on any workspace, from now on."""
+    count = [0]
+    solve = SpectralWorkspace.coulomb
+
+    def counting(self, values):
+        count[0] += 1
+        return solve(self, values)
+
+    monkeypatch.setattr(SpectralWorkspace, "coulomb", counting)
+    return count
+
+
+class TestSharedEvaluation:
+    """energy_breakdown and grad_E keep the Evaluation of the last state: one
+    solve per (field, workspace) in a row, keyed by identity, held weakly."""
+
+    PROF, PARAMS = GaussianProfile(0.3, 1.0), PhysParams(2.1, 0.3)
+
+    def fresh(self, u, ws):
+        """The breakdown and gradient of u from a new Evaluation."""
+        ev = Evaluation(u.values, ws)
+        fields = profile_fields(self.PROF, ws)
+        return ev.breakdown(fields, self.PARAMS), ev.gradient(fields, self.PARAMS)
+
+    def test_breakdown_then_gradient_solve_once(self, grid32, ws32, rng, monkeypatch):
+        u = ComplexField(grid32, gaussian_state(grid32).values + 0.1 * smooth_random_complex(grid32, rng))
+        profile_fields(self.PROF, ws32)
+        solves = _count_coulomb(monkeypatch)
+        bd = energy_breakdown(u, self.PROF, self.PARAMS, ws32)
+        grad = grad_E(u, self.PROF, self.PARAMS, ws32)
+        assert solves[0] == 1
+        assert energy_breakdown(u, self.PROF, self.PARAMS, ws32) == bd
+        assert solves[0] == 1
+        fresh_bd, fresh_grad = self.fresh(u, ws32)
+        assert bd == fresh_bd
+        assert np.array_equal(grad.values, fresh_grad)
+
+    def test_an_equal_field_or_another_workspace_costs_a_solve(self, grid32, ws32, monkeypatch):
+        u = gaussian_state(grid32)
+        twin = ComplexField(grid32, u.values)
+        other_ws = SpectralWorkspace(grid32)
+        for ws in (ws32, other_ws):
+            profile_fields(self.PROF, ws)
+        solves = _count_coulomb(monkeypatch)
+        bd = energy_breakdown(u, self.PROF, self.PARAMS, ws32)
+        grad = grad_E(twin, self.PROF, self.PARAMS, ws32)
+        assert solves[0] == 2
+        assert energy_breakdown(u, self.PROF, self.PARAMS, other_ws) == bd
+        assert solves[0] == 3
+        # the slot holds the last state only
+        assert np.array_equal(grad_E(u, self.PROF, self.PARAMS, ws32).values, grad.values)
+        assert solves[0] == 4
+
+    def test_fields_are_read_only_copies_equal_by_identity(self, grid32):
+        vals = gaussian_state(grid32).values.copy()
+        u = ComplexField(grid32, vals)
+        with pytest.raises(ValueError):
+            u.values[0, 0, 0] = 1.0
+        vals[...] = 0.0
+        assert np.array_equal(u.values, gaussian_state(grid32).values)
+        twin = ComplexField(grid32, u.values)
+        assert u == u and u != twin and len({u, twin}) == 2
+
+    def track_evaluations(self, monkeypatch):
+        """Weak refs to every Evaluation made from now on."""
+        refs = []
+        init = Evaluation.__init__
+
+        def tracking(ev, vals, ws):
+            init(ev, vals, ws)
+            refs.append(weakref.ref(ev))
+
+        monkeypatch.setattr(Evaluation, "__init__", tracking)
+        return refs
+
+    def test_the_state_dying_frees_its_evaluation_at_once(self, monkeypatch):
+        ws = SpectralWorkspace(Grid3(8, 8.0))
+        u = gaussian_state(ws.grid)
+        evs = self.track_evaluations(monkeypatch)
+        energy_breakdown(u, self.PROF, self.PARAMS, ws)
+        grad_E(u, self.PROF, self.PARAMS, ws)
+        assert len(evs) == 1
+        u_ref = weakref.ref(u)
+        # no reference cycle is left for the collector: both go on del
+        gc.disable()
+        try:
+            del u
+            assert u_ref() is None and evs[0]() is None
+        finally:
+            gc.enable()
+
+    def test_the_workspace_dying_frees_the_evaluation_and_not_the_state(self, monkeypatch):
+        # as in test_cached_fields_let_their_workspace_go: the slot holds its
+        # workspace weakly, and the Evaluation refers to the k2 table only
+        ws = SpectralWorkspace(Grid3(8, 8.0))
+        u = gaussian_state(ws.grid)
+        evs = self.track_evaluations(monkeypatch)
+        energy_breakdown(u, self.PROF, self.PARAMS, ws)
+        ws_ref = weakref.ref(ws)
+        del ws
+        gc.collect()
+        assert ws_ref() is None and evs[0]() is None
+        # the state lives on, and on a new workspace it is evaluated anew
+        energy_breakdown(u, self.PROF, self.PARAMS, SpectralWorkspace(u.grid))
+        assert len(evs) == 2
+
+    def test_threads_alternating_on_two_states_get_the_serial_results(self, grid32, ws32, rng):
+        # four threads on two cores, two per state, switching every
+        # microsecond, share the one slot: each must get its own state's bits
+        states = [
+            ComplexField(grid32, gaussian_state(grid32, width).values + 0.1 * smooth_random_complex(grid32, rng))
+            for width in (1.0, 1.5)
+        ]
+        serial = [self.fresh(u, ws32) for u in states]
+        barrier = threading.Barrier(4, timeout=60)
+        got: list[list] = [[] for _ in range(4)]
+
+        def work(i):
+            barrier.wait()
+            u = states[i % 2]
+            for _ in range(10):
+                bd = energy_breakdown(u, self.PROF, self.PARAMS, ws32)
+                got[i].append((bd, grad_E(u, self.PROF, self.PARAMS, ws32).values))
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for i, rows in enumerate(got):
+            bd, grad = serial[i % 2]
+            assert len(rows) == 10
+            for row_bd, row_grad in rows:
+                assert row_bd == bd and np.array_equal(row_grad, grad)
+
+    @pytest.mark.parametrize("exit", ["converged", "cap", "stall", "no_descent"])
+    def test_minimize_at_mass_solves_only_in_the_flow(self, exit, monkeypatch):
+        # the closing breakdown reads the flow's Evaluation of its last iterate;
+        # only the no-descent exit, whose last Evaluation is a trial's, pays one
+        if exit == "stall":
+            monkeypatch.setattr(minimize, "ENERGY_TOL", 1e3)
+            monkeypatch.setattr(minimize, "STALL_ITERS", 5)
+        elif exit == "no_descent":
+            # one trial, a step far too long to descend
+            monkeypatch.setattr(minimize, "BACKTRACK_MAX", 1)
+            monkeypatch.setattr(minimize, "TAU0", 1e3)
+        ws = SpectralWorkspace(Grid3(16, 8.0))
+        solves = _count_coulomb(monkeypatch)
+        at_flow_end = []
+        flow = minimize._normalized_flow
+
+        def counted_flow(*args):
+            state = flow(*args)
+            at_flow_end.append(solves[0])
+            return state
+
+        monkeypatch.setattr(minimize, "_normalized_flow", counted_flow)
+        config = minimize.MinimizeConfig(max_iters=3 if exit == "cap" else 4000)
+        res = minimize.minimize_at_mass(10.0, self.PROF, self.PARAMS, config, ws)
+        assert res.converged is (exit == "converged")
+        if exit != "converged":
+            assert res.iterations == {"cap": 3, "stall": 5, "no_descent": 0}[exit]
+        assert solves[0] == at_flow_end[0] + (exit == "no_descent")
+        assert res.breakdown == self.fresh(res.u_min, ws)[0]
 
 
 class TestLagrangeMultiplier:
