@@ -124,16 +124,33 @@ class Grid3:
 class ComplexField:
     """A state: complex samples on a Grid3, of the grid's shape and finite.
 
-    Immutable: ``values`` is a read-only copy of the samples it was made
-    from, so no array the caller still holds can write through to it.  Two
-    fields compare and hash by identity, which is what ``energy`` keys its
-    last evaluation on."""
+    Immutable: ``values`` is read-only.  The constructor stores a copy of
+    the samples it was made from, so no array or view the caller still
+    holds can write through to it; ``adopt`` freezes, without a copy, a
+    fresh array that nothing else holds.  Two fields compare and hash by
+    identity, which is what ``energy`` keys its last evaluation on."""
 
     grid: Grid3
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        values = np.array(self.values, dtype=np.complex128)
+        self._freeze(np.array(self.values, dtype=np.complex128))
+
+    @classmethod
+    def adopt(cls, grid: Grid3, values: np.ndarray) -> ComplexField:
+        """The field of values itself, made read-only in place: for a
+        complex128 array that owns its data and that the caller made and
+        drops, such as a gradient just computed.  A view, or any other
+        dtype, raises ValueError; the constructor copies those."""
+        if not (isinstance(values, np.ndarray) and values.dtype == np.complex128 and values.base is None):
+            raise ValueError("adopt takes a complex128 array that owns its data")
+        u = object.__new__(cls)
+        object.__setattr__(u, "grid", grid)
+        u._freeze(values)
+        return u
+
+    def _freeze(self, values: np.ndarray) -> None:
+        """Check values' shape and finiteness, make it read-only and store it."""
         self.grid.require_shape(values)
         if not np.all(np.isfinite(values)):
             raise ValueError("field contains non-finite entries")

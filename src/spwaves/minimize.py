@@ -254,7 +254,8 @@ def minimize_at_mass(
     residual, or an overflow or invalid operation anywhere in the start or
     the flow, raises NumericalAbort, whatever the warning filters say.
     The breakdown reuses the flow's Evaluation of its last iterate, which
-    every exit but "no descent" (whose last Evaluation is a trial's) has.
+    every exit but "no descent" (whose last Evaluation is a trial's) has,
+    and u_min holds that iterate itself, made read-only, not a copy.
     """
     if not (mu > 0.0 and np.isfinite(mu)):
         raise ValueError(f"mass must be positive and finite, got {mu}")
@@ -268,7 +269,7 @@ def minimize_at_mass(
     except FloatingPointError as exc:
         raise NumericalAbort(f"the flow's arithmetic failed: {exc}") from exc
 
-    u = ComplexField(ws.grid, state.vals)
+    u = ComplexField.adopt(ws.grid, state.vals)
     bd = objective.evaluation(state.vals)[0].breakdown(objective.fields, params)
     omega = lagrange_multiplier(bd)
     residuals = {"pohozaev": pohozaev_residual(bd, omega).normalized, "gradient": state.grad_res}
@@ -477,7 +478,9 @@ def subadditivity_scan(
 class FloorPoint:
     """The floor on one box: the lowest eigenvalue of -Delta + 2 e^2 S2 (not
     of E's linearization, -Delta + e^2 S2), whether the eigensolver's last
-    residual is below GRAD_TOL, the cap included, and its update count."""
+    residual is below GRAD_TOL, the cap included, and its update count,
+    counted from the better of its two starts (0 for rho = 0, which the
+    constant start solves exactly)."""
 
     box_length: float
     floor: float
@@ -489,7 +492,12 @@ def _lowest_eigenvalue(
     potential: np.ndarray, ws: SpectralWorkspace, x: np.ndarray, config: MinimizeConfig
 ) -> tuple[float, int, float]:
     """Lowest eigenvalue of A = -Delta + potential by LOBPCG with block size
-    one (Knyazev, SIAM J. Sci. Comput. 23, 2001), from the real array x.
+    one (Knyazev, SIAM J. Sci. Comput. 23, 2001), from the real array x or
+    the constant, whichever has the lower Rayleigh quotient (x on a tie).
+    On the grid -Delta 1 = 0 exactly (k^2 = 0 at the zero mode), so A 1 is
+    the potential, and the constant's quotient is the box mean of the
+    potential, at no transform.  A constant potential, +0.0 for rho = 0
+    included, makes the constant an exact eigenvector: 0 updates.
 
     Each pass forms r = A x - lambda x once.  It returns (lambda, the number
     of updates of x, the residual) at max_iters updates or once the residual
@@ -500,7 +508,7 @@ def _lowest_eigenvalue(
     not positive definite.
 
     The transforms are real, on the rfft half of ``ws.k2``: the start costs
-    one rfft and one irfft, and each update one rfft and two irffts,
+    one rfft and one irfft, for A x, and each update one rfft and two irffts,
     r^ = rfft(r), w = irfft(P r^) and A w = irfft(k^2 P r^) + potential w,
     so A w needs no transform of w.
     """
@@ -516,7 +524,11 @@ def _lowest_eigenvalue(
         return scale * v, scale * av
 
     x = x.ravel()
-    x, ax = unit(x, ws.irfft(k2 * ws.rfft(x.reshape(shape))).ravel() + potential * x)
+    x, ax = min(  # x or the constant, whose A 1 is the potential: -Delta 1 = 0
+        unit(x, ws.irfft(k2 * ws.rfft(x.reshape(shape))).ravel() + potential * x),
+        unit(np.ones_like(x), potential),
+        key=lambda start: float(start[0] @ start[1]),
+    )
     prev: tuple[np.ndarray, ...] = ()  # (p, A p) once there is a previous direction
     updates = 0
     while True:
@@ -555,9 +567,13 @@ def spectral_floor(
     """Lowest eigenvalue of -Delta + 2 e^2 S2 on periodic boxes of growing size.
 
     Each floor comes from a preconditioned eigensolver (LOBPCG) started from
-    the real Gaussian of width L/8, for every doping: rho = 0 has S2 = +0.0
-    and a floor of 0 up to roundoff.  FloorPoint.converged means the last
-    residual is below GRAD_TOL, the cap included.  On a periodic box every
+    the real Gaussian of width L/8 or from the constant, whichever has the
+    lower Rayleigh quotient; the constant's is the box mean of 2 e^2 S2,
+    since -Delta 1 = 0 on the grid.  The constant wins where the box
+    dominates the floor, the Gaussian on bound states.  rho = 0 has
+    S2 = +0.0, so the constant is exact: floor 0.0 in 0 updates.
+    FloorPoint.converged means the last residual is below GRAD_TOL, the cap
+    included.  On a periodic box every
     rho >= 0 other than 0 gives a negative floor, close to the box mean of
     2 e^2 S2, which falls like 1/L (L * floor is about -0.095 for the bench
     doping at e = 0.3).  In free space the floor is hydrogenic instead, at
