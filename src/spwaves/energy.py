@@ -288,7 +288,7 @@ def grad_E(
     and workspace may already have made.  A state on another grid than the
     workspace raises GridMismatchError."""
     ws.grid.require_same(u.grid)
-    return ComplexField.adopt(u.grid, _evaluation(u, ws).gradient(profile_fields(profile, ws), params))
+    return ComplexField(u.grid, _evaluation(u, ws).gradient(profile_fields(profile, ws), params))
 
 
 def lagrange_multiplier(breakdown: EnergyBreakdown) -> float:

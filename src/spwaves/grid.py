@@ -1,8 +1,8 @@
 """Uniform periodic grid, the state type, and the free-space Coulomb solve.
 
 The computational domain is the cube [-L/2, L/2)^3 sampled at N points per
-axis.  A state is a ComplexField, the one validated wrapper: its samples
-have the grid's shape and are finite.  Real grid data (rho, x . grad rho,
+axis.  A state is a ComplexField, the one validated wrapper: a read-only
+copy of samples that have the grid's shape and are finite.  Real grid data (rho, x . grad rho,
 S1, S2, |u|^2) are plain float64 arrays of shape (N, N, N).  Derivatives
 are Fourier multipliers: the Laplacian on the workspace's ``k2`` table, and
 x . grad f in ``x_dot_grad``.
@@ -124,33 +124,16 @@ class Grid3:
 class ComplexField:
     """A state: complex samples on a Grid3, of the grid's shape and finite.
 
-    Immutable: ``values`` is read-only.  The constructor stores a copy of
-    the samples it was made from, so no array or view the caller still
-    holds can write through to it; ``adopt`` freezes, without a copy, a
-    fresh array that nothing else holds.  Two fields compare and hash by
-    identity, which is what ``energy`` keys its last evaluation on."""
+    Immutable: ``values`` is a read-only copy of the samples it was made
+    from, so no array the caller still holds can write through to it.  Two
+    fields compare and hash by identity, which is what ``energy`` keys its
+    last evaluation on."""
 
     grid: Grid3
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        self._freeze(np.array(self.values, dtype=np.complex128))
-
-    @classmethod
-    def adopt(cls, grid: Grid3, values: np.ndarray) -> ComplexField:
-        """The field of values itself, made read-only in place: for a
-        complex128 array that owns its data and that the caller made and
-        drops, such as a gradient just computed.  A view, or any other
-        dtype, raises ValueError; the constructor copies those."""
-        if not (isinstance(values, np.ndarray) and values.dtype == np.complex128 and values.base is None):
-            raise ValueError("adopt takes a complex128 array that owns its data")
-        u = object.__new__(cls)
-        object.__setattr__(u, "grid", grid)
-        u._freeze(values)
-        return u
-
-    def _freeze(self, values: np.ndarray) -> None:
-        """Check values' shape and finiteness, make it read-only and store it."""
+        values = np.array(self.values, dtype=np.complex128)
         self.grid.require_shape(values)
         if not np.all(np.isfinite(values)):
             raise ValueError("field contains non-finite entries")

@@ -13,7 +13,9 @@ negative and sub-additivity margins.
 
 The spectral floor, the lowest eigenvalue of the linear operator
 -Delta + 2 e^2 S2, is a linear eigenproblem and comes from a preconditioned
-eigensolver (LOBPCG), not from the flow.  E linearizes to -Delta + e^2 S2,
+eigensolver (LOBPCG), not from the flow: it starts from the constant, and
+its preconditioner (sigma - Delta)^-1 shifts with the Rayleigh quotient
+lambda, sigma = max(FLOOR_SHIFT, -lambda).  E linearizes to -Delta + e^2 S2,
 half the floor's potential; the floor keeps 2 e^2 S2 because the
 benchmark's pinned floors (FLOORS_SEED) are values of that operator.
 """
@@ -62,7 +64,8 @@ BACKTRACK_MAX = 40
 GRAD_TOL, ENERGY_TOL, STALL_ITERS = 1e-7, 1e-9, 100
 # An energy below -EPS_NEG counts as genuinely negative (mu_star).
 EPS_NEG = 10.0 * ENERGY_TOL
-# Shift alpha of the spectral floor's preconditioner (alpha - Delta)^-1.
+# Lower bound of the shift sigma = max(FLOOR_SHIFT, -lambda) of the spectral
+# floor's preconditioner (sigma - Delta)^-1, lambda the Rayleigh quotient.
 FLOOR_SHIFT = 0.05
 
 
@@ -254,8 +257,8 @@ def minimize_at_mass(
     residual, or an overflow or invalid operation anywhere in the start or
     the flow, raises NumericalAbort, whatever the warning filters say.
     The breakdown reuses the flow's Evaluation of its last iterate, which
-    every exit but "no descent" (whose last Evaluation is a trial's) has,
-    and u_min holds that iterate itself, made read-only, not a copy.
+    every exit but "no descent" (whose last Evaluation is a trial's) has;
+    u_min is a read-only copy of that iterate.
     """
     if not (mu > 0.0 and np.isfinite(mu)):
         raise ValueError(f"mass must be positive and finite, got {mu}")
@@ -269,7 +272,7 @@ def minimize_at_mass(
     except FloatingPointError as exc:
         raise NumericalAbort(f"the flow's arithmetic failed: {exc}") from exc
 
-    u = ComplexField.adopt(ws.grid, state.vals)
+    u = ComplexField(ws.grid, state.vals)
     bd = objective.evaluation(state.vals)[0].breakdown(objective.fields, params)
     omega = lagrange_multiplier(bd)
     residuals = {"pohozaev": pohozaev_residual(bd, omega).normalized, "gradient": state.grad_res}
@@ -478,9 +481,8 @@ def subadditivity_scan(
 class FloorPoint:
     """The floor on one box: the lowest eigenvalue of -Delta + 2 e^2 S2 (not
     of E's linearization, -Delta + e^2 S2), whether the eigensolver's last
-    residual is below GRAD_TOL, the cap included, and its update count,
-    counted from the better of its two starts (0 for rho = 0, which the
-    constant start solves exactly)."""
+    residual is below GRAD_TOL, the cap included, and its update count from
+    the constant start (0 for rho = 0, which the constant solves exactly)."""
 
     box_length: float
     floor: float
@@ -488,47 +490,37 @@ class FloorPoint:
     iterations: int
 
 
-def _lowest_eigenvalue(
-    potential: np.ndarray, ws: SpectralWorkspace, x: np.ndarray, config: MinimizeConfig
-) -> tuple[float, int, float]:
+def _lowest_eigenvalue(potential: np.ndarray, ws: SpectralWorkspace, config: MinimizeConfig) -> tuple[float, int, float]:
     """Lowest eigenvalue of A = -Delta + potential by LOBPCG with block size
-    one (Knyazev, SIAM J. Sci. Comput. 23, 2001), from the real array x or
-    the constant, whichever has the lower Rayleigh quotient (x on a tie).
-    On the grid -Delta 1 = 0 exactly (k^2 = 0 at the zero mode), so A 1 is
-    the potential, and the constant's quotient is the box mean of the
-    potential, at no transform.  A constant potential, +0.0 for rho = 0
+    one (Knyazev, SIAM J. Sci. Comput. 23, 2001), from the constant.  On the
+    grid -Delta 1 = 0 exactly (k^2 = 0 at the zero mode), so A 1 is the
+    potential and the start costs no transform; its Rayleigh quotient is the
+    box mean of the potential.  A constant potential, +0.0 for rho = 0
     included, makes the constant an exact eigenvector: 0 updates.
 
     Each pass forms r = A x - lambda x once.  It returns (lambda, the number
     of updates of x, the residual) at max_iters updates or once the residual
     2 |r|_2 / |x|_{H^1} at unit mass, the flow's for the form <u, A u>, is
     below GRAD_TOL.  Otherwise it runs Rayleigh-Ritz on span{x, P r, p}:
-    P = (FLOOR_SHIFT - Delta)^-1 (Antoine, Levitt & Tang, J. Comput. Phys.
-    343, 2017) and p the previous direction, dropped when the Gram matrix is
-    not positive definite.
+    P = (sigma - Delta)^-1 with sigma = max(FLOOR_SHIFT, -lambda), shifted
+    with the pass's eigenvalue (Antoine, Levitt & Tang, J. Comput. Phys.
+    343, 2017), and p the previous direction, dropped when the Gram matrix
+    is not positive definite.
 
-    The transforms are real, on the rfft half of ``ws.k2``: the start costs
-    one rfft and one irfft, for A x, and each update one rfft and two irffts,
-    r^ = rfft(r), w = irfft(P r^) and A w = irfft(k^2 P r^) + potential w,
-    so A w needs no transform of w.
+    The transforms are real, on the rfft half of ``ws.k2``: each update
+    costs one rfft and two irffts, r^ = rfft(r), w = irfft(P r^) and
+    A w = irfft(k^2 P r^) + potential w, so A w needs no transform of w.
     """
     dv = ws.grid.cell_volume
     shape = ws.k2.shape
     k2 = ws.k2[..., : ws.grid.n // 2 + 1]  # the rfft half of the table
-    precond = 1.0 / (FLOOR_SHIFT + k2)
-    k2_precond = k2 * precond
     potential = potential.ravel()
 
     def unit(v: np.ndarray, av: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         scale = 1.0 / np.sqrt(v @ v * dv)
         return scale * v, scale * av
 
-    x = x.ravel()
-    x, ax = min(  # x or the constant, whose A 1 is the potential: -Delta 1 = 0
-        unit(x, ws.irfft(k2 * ws.rfft(x.reshape(shape))).ravel() + potential * x),
-        unit(np.ones_like(x), potential),
-        key=lambda start: float(start[0] @ start[1]),
-    )
+    x, ax = unit(np.ones_like(potential), potential)  # -Delta 1 = 0: A 1 is the potential
     prev: tuple[np.ndarray, ...] = ()  # (p, A p) once there is a previous direction
     updates = 0
     while True:
@@ -540,9 +532,10 @@ def _lowest_eigenvalue(
         residual = 2.0 * float(np.sqrt(r @ r * dv / h1_sq))
         if updates >= config.max_iters or residual < GRAD_TOL:
             return lam, updates, residual
+        precond = 1.0 / (max(FLOOR_SHIFT, -lam) + k2)
         rhat = ws.rfft(r.reshape(shape))
         w = ws.irfft(precond * rhat).ravel()
-        w, aw = unit(w, ws.irfft(k2_precond * rhat).ravel() + potential * w)
+        w, aw = unit(w, ws.irfft(k2 * precond * rhat).ravel() + potential * w)
         basis, abasis = np.array([x, w, *prev[:1]]), np.array([ax, aw, *prev[1:]])
         gram, hess = basis @ basis.T, basis @ abasis.T
         try:
@@ -567,18 +560,17 @@ def spectral_floor(
     """Lowest eigenvalue of -Delta + 2 e^2 S2 on periodic boxes of growing size.
 
     Each floor comes from a preconditioned eigensolver (LOBPCG) started from
-    the real Gaussian of width L/8 or from the constant, whichever has the
-    lower Rayleigh quotient; the constant's is the box mean of 2 e^2 S2,
-    since -Delta 1 = 0 on the grid.  The constant wins where the box
-    dominates the floor, the Gaussian on bound states.  rho = 0 has
-    S2 = +0.0, so the constant is exact: floor 0.0 in 0 updates.
+    the constant, whose Rayleigh quotient is the box mean of 2 e^2 S2, since
+    -Delta 1 = 0 on the grid; its preconditioner's shift is
+    sigma = max(FLOOR_SHIFT, -lambda), lambda the current Rayleigh quotient.
+    rho = 0 has S2 = +0.0, so the constant is exact: floor 0.0 in 0 updates.
     FloorPoint.converged means the last residual is below GRAD_TOL, the cap
-    included.  On a periodic box every
-    rho >= 0 other than 0 gives a negative floor, close to the box mean of
-    2 e^2 S2, which falls like 1/L (L * floor is about -0.095 for the bench
-    doping at e = 0.3).  In free space the floor is hydrogenic instead, at
-    or above -Z^2/4 with Z = e^2 int rho / (4 pi): -3.97e-4 for the bench
-    doping.  E linearizes to -Delta + e^2 S2, the floor's operator at e/sqrt(2).
+    included.  On a periodic box every rho >= 0 other than 0 gives a
+    negative floor, close to the box mean of 2 e^2 S2, which falls like 1/L
+    (L * floor is about -0.095 for the bench doping at e = 0.3).  In free
+    space the floor is hydrogenic instead, at or above -Z^2/4 with
+    Z = e^2 int rho / (4 pi): -3.97e-4 for the bench doping.  E linearizes
+    to -Delta + e^2 S2, the floor's operator at e/sqrt(2).
     """
     if not (e > 0.0 and float(e) * float(e) < np.inf):
         raise ValueError(f"coupling must be positive and finite, with e^2 finite, got {e}")
@@ -587,9 +579,8 @@ def spectral_floor(
         grid = Grid3(points_per_axis, float(length))
         ws = SpectralWorkspace(grid)
         potential = 2.0 * e**2 * profile_fields(profile, ws).s2
-        x0 = np.exp(-grid.radius_sq() / (2.0 * (grid.length / 8.0) ** 2))
         try:
-            floor, iterations, residual = _lowest_eigenvalue(potential, ws, x0, config)
+            floor, iterations, residual = _lowest_eigenvalue(potential, ws, config)
             out.append(FloorPoint(float(length), floor, residual < GRAD_TOL, iterations))
         except NumericalAbort:
             out.append(FloorPoint(float(length), np.nan, False, 0))

@@ -92,36 +92,6 @@ class TestFields:
         with pytest.raises(ValueError, match="non-finite"):
             ComplexField(grid32, vals)
 
-    def test_adopt_freezes_the_array_itself(self, grid32, rng):
-        vals = smooth_random_complex(grid32, rng)
-        u = ComplexField.adopt(grid32, vals)
-        assert u.values is vals and not vals.flags.writeable
-        with pytest.raises(ValueError):
-            vals[0, 0, 0] = 1.0
-
-    @pytest.mark.parametrize(
-        "make",
-        [
-            lambda n: np.zeros((n + 1, n, n), dtype=complex)[1:],
-            lambda n: np.zeros((n, n, n), dtype=np.complex64),
-            lambda n: np.zeros((n, n, n)),
-        ],
-        ids=["view", "complex64", "float64"],
-    )
-    def test_adopt_rejects_a_view_or_another_dtype(self, grid32, make):
-        vals = make(32)
-        with pytest.raises(ValueError, match="owns its data"):
-            ComplexField.adopt(grid32, vals)
-        assert vals.flags.writeable
-
-    def test_adopt_checks_shape_and_finiteness(self, grid32):
-        with pytest.raises(ValueError, match="shape"):
-            ComplexField.adopt(grid32, np.zeros((8, 8, 8), dtype=complex))
-        vals = np.zeros((32, 32, 32), dtype=complex)
-        vals[0, 0, 0] = np.inf
-        with pytest.raises(ValueError, match="non-finite"):
-            ComplexField.adopt(grid32, vals)
-
 
 class TestLpNorm:
     def test_constant_field(self, grid32):
