@@ -14,8 +14,9 @@ much of a field reaches the edge of the box.
 
 Every transform here takes its worker count from the grid size N alone:
 one worker below _FFT_THREADED_N, where threads cost more than they save,
-and _FFT_WORKERS (all CPUs) at or above it.  The policy moves no bit:
-pocketfft computes each 1-D line of a batch on its own, so how the lines
+and _FFT_WORKERS (all CPUs) at or above it.  The same policy sets how many
+threads share the kernel build's slab passes.  It moves no bit: pocketfft
+computes each 1-D line of a batch on its own, so how the lines or slabs
 are split between threads does not change a result.
 """
 
@@ -24,6 +25,7 @@ from __future__ import annotations
 import functools
 import operator
 import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -160,25 +162,57 @@ def coulomb_kernel_spectrum(kmag: np.ndarray, radius: float, out: np.ndarray | N
     return out
 
 
+# Bytes of padded (2N, 2N, columns) complex spectrum one slab of a Coulomb
+# solve may hold: N=32, the ground flow's size, stays one slab; N=64 takes
+# two and N=96 four.  The kernel build's axis-2 inverse holds as many bytes
+# of real output per row block: N=32 stays one block, N=64 takes two
+# and N=96 seven.
+_SOLVE_SLAB_BYTES = 16 * 2**20
+
+
 # Axis-2 columns of the (4N)^3 kernel spectrum evaluated and transformed
-# together.  Timed over 16 builds at N=96 on 2 cores: 4 was slowest, 8 and
-# 16 tied within their quartiles, and 8 holds half the slab memory.
+# together by one thread.  Timed over 16 builds at N=96 on 2 cores, serial:
+# 4 was slowest, 8 and 16 tied within their quartiles.  Re-timed with two
+# slab threads, 16 interleaved builds each, median [quartiles]: 8 took
+# 113 [105-123] ms at N=64 and 396 [346-428] ms at N=96, 16 took
+# 118 [111-126] and 418 [365-441] ms.  8 holds half the slab memory.
 _KERNEL_SLAB = 8
 
 
+def _kernel_build_plan(n: int) -> tuple[int, int]:
+    """Threads of the kernel build's slab passes and rows per block of its
+    axis-2 inverse at grid size n.
+
+    One thread where the transforms take one worker; else as many as their
+    worker count resolves to (a negative count is counted back from the CPU
+    count, as scipy.fft does), at most one per slab.  The blocks are as few
+    as _SOLVE_SLAB_BYTES of real output allows, of near-equal height."""
+    workers = _fft_workers(n)
+    if workers < 0:
+        workers += 1 + (os.cpu_count() or 1)
+    threads = max(1, min(workers, -(-(2 * n + 1) // _KERNEL_SLAB)))
+    per_block = max(1, _SOLVE_SLAB_BYTES // (8 * 2 * n * 4 * n))
+    rows = -(-2 * n // -(-2 * n // per_block))
+    return threads, rows
+
+
 def _kernel_build_bytes(n: int) -> int:
-    """Peak bytes of one kernel build at grid size n: the largest buffers of
-    _unit_kernel_hat counted as if all alive at once.  They are the pruned
-    spectrum, the last inverse pass's output and one slab's two buffers, the
-    (4N, 2N+1) axis-0 input and the (2N, 4N) mirrored axis-1 input."""
-    n2, n4 = 2 * n, 4 * n
-    return 16 * n2 * n2 * (n2 + 1) + 8 * n2 * n2 * n4 + 16 * _KERNEL_SLAB * (n4 * (n2 + 1) + n2 * n4)
-
-
-# Bytes of padded (2N, 2N, columns) complex spectrum one slab of a Coulomb
-# solve may hold: N=32, the ground flow's size, stays one slab; N=64 takes
-# two and N=96 four.
-_SOLVE_SLAB_BYTES = 16 * 2**20
+    """Peak bytes of one kernel build at grid size n, counting buffers as if
+    alive together.  The pruned (2N, 2N, 2N+1) spectrum, which the kernel
+    later overwrites, and the k_x <= k_y triangle's index and |k|^2 tables
+    are counted throughout.  The slab passes add, per thread, the (4N, 2N+1)
+    axis-0 input, the (2N, 4N) axis-1 input and the spectrum on the triangle
+    with its two temporaries, each _KERNEL_SLAB columns wide.  Once those
+    are freed, the axis-2 inverse adds one row block of its output, and the
+    final transform its (2N, 2N, N+1) first pass.  The largest of the three
+    additions is counted, and 64 KiB per thread for the interpreter's own
+    objects."""
+    n2, n4, h = 2 * n, 4 * n, 2 * n + 1
+    tri = h * (h + 1) // 2
+    threads, rows = _kernel_build_plan(n)
+    slabs = threads * _KERNEL_SLAB * (16 * n4 * h + 16 * n2 * n4 + 17 * tri)
+    inverse = max(8 * rows * n2 * n4, 16 * n2 * n2 * (n + 1))
+    return 16 * n2 * n2 * h + 24 * tri + max(slabs, inverse) + threads * 2**16
 
 
 @functools.cache
@@ -201,9 +235,24 @@ def _unit_kernel_hat(n: int) -> np.ndarray:
     The (4N)^3 inverse runs in irfftn's own order, axis 0, axis 1, then the
     real axis 2, each pass cut to the 2N kept offsets (0..N and -(N-1)..-1,
     two slice copies) before the next and the 1/(4N)^3 applied last: bit
-    for bit the dense irfftn, without the (4N)^3 real array.  The first two
-    passes run one slab of axis-2 columns at a time.  Two symmetries are
-    exact in floating point, so their values are copied, not recomputed:
+    for bit the dense irfftn, without the (4N)^3 real array.
+
+    The first two passes run one slab of axis-2 columns at a time, each
+    slab's transforms on one worker.  Where the transforms take more than
+    one worker (see _kernel_build_plan), the slabs are dealt round-robin to
+    that many threads, the calling thread taking one share itself.  The
+    calling thread allocates every thread's slab, part and spectrum buffers
+    before the passes start and frees them after; the threads write disjoint
+    columns of the pruned spectrum.  The axis-2 inverse then runs by blocks
+    of rows, on all workers, each block's kept offsets copied straight into
+    the kernel, which is laid over the rows of the pruned spectrum already
+    inverted: the (2N)^2 4N real array is never made, nor a separate
+    kernel.  The final rfftn runs as its three passes, in its order, so that
+    the pruned spectrum's memory, kernel and all, is freed after the first.  Every 1-D line is
+    transformed and copied exactly as by the dense irfftn and rfftn, so
+    neither the threads, the blocks nor the passes move a bit.  Two
+    symmetries are exact in floating point, so their values are copied, not
+    recomputed:
 
     - fftfreq's negative wavenumbers are the exact negatives of the positive
       ones, so rows and columns 2N+1..4N-1 of the spectrum equal rows and
@@ -219,44 +268,76 @@ def _unit_kernel_hat(n: int) -> np.ndarray:
     """
     n2, n4 = 2 * n, 4 * n
     k1 = 2.0 * np.pi * sfft.fftfreq(n4, d=1.0 / n)
-    kr = 2.0 * np.pi * sfft.rfftfreq(n4, d=1.0 / n)
+    kr2 = (2.0 * np.pi * sfft.rfftfreq(n4, d=1.0 / n)) ** 2
     workers = _fft_workers(n)
+    threads, rows = _kernel_build_plan(n)
     h = n2 + 1  # wavenumbers 0..2N; rows and columns h.. mirror 2N-1..1
     lo, hi = n + 1, n4 - n + 1  # kept offsets 0..N, then -(N-1)..-1
     ix, iy = np.triu_indices(h)  # k_x <= k_y
     kxy = k1[ix] ** 2 + k1[iy] ** 2
-    pruned = np.empty((n2, n2, kr.size), dtype=np.complex128)
-    for k0 in range(0, kr.size, _KERNEL_SLAB):
-        cols = slice(k0, k0 + _KERNEL_SLAB)
-        w = kr[cols].size
-        # Complex from the start: a real input takes pocketfft's real-input
-        # path, which rounds differently from irfftn.
-        slab = np.empty((n4, h, w), dtype=np.complex128)
-        # |k| and the spectrum share one buffer: fewer slab-sized temporaries
-        # land on the heap, where glibc keeps them resident after the build
-        tri = np.add(kxy[:, None], (kr[cols] ** 2)[None, :])
-        coulomb_kernel_spectrum(np.sqrt(tri, out=tri), np.sqrt(3.0), out=tri)
-        slab[ix, iy] = tri
-        slab[iy, ix] = tri
-        slab[h:] = slab[h - 2 : 0 : -1]
-        slab = sfft.ifft(slab, axis=0, norm="forward", overwrite_x=True, workers=workers)
-        part = np.empty((n2, n4, w), dtype=np.complex128)
-        part[:lo, :h] = slab[:lo]
-        part[lo:, :h] = slab[hi:]
-        del slab
-        part[:, h:] = part[:, h - 2 : 0 : -1]
-        part = sfft.ifft(part, axis=1, norm="forward", overwrite_x=True, workers=workers)
-        pruned[:, :lo, cols] = part[:, :lo]
-        pruned[:, lo:, cols] = part[:, hi:]
-    del part, ix, iy, kxy
-    full = sfft.irfft(pruned, n=n4, axis=2, norm="forward", workers=workers)
-    del pruned
-    kernel = np.empty((n2, n2, n2))
-    kernel[:, :, :lo] = full[:, :, :lo]
-    kernel[:, :, lo:] = full[:, :, hi:]
-    del full
+    pruned = np.empty((n2, n2, kr2.size), dtype=np.complex128)
+    # Complex from the start: a real input takes pocketfft's real-input
+    # path, which rounds differently from irfftn.
+    buffers = [
+        (
+            np.empty((n4, h, _KERNEL_SLAB), dtype=np.complex128),
+            np.empty((n2, n4, _KERNEL_SLAB), dtype=np.complex128),
+            np.empty((ix.size, _KERNEL_SLAB)),
+        )
+        for _ in range(threads)
+    ]
+
+    def slab_passes(share: int) -> None:
+        slab_buf, part_buf, tri_buf = buffers[share]
+        for k0 in range(share * _KERNEL_SLAB, kr2.size, threads * _KERNEL_SLAB):
+            cols = slice(k0, k0 + _KERNEL_SLAB)
+            w = kr2[cols].size  # the last slab may be narrower
+            slab, part, tri = slab_buf[..., :w], part_buf[..., :w], tri_buf[:, :w]
+            # column by column: a broadcast add would stage its operands
+            # through numpy's iterator buffers, 128 KiB per thread
+            for j, kz2 in enumerate(kr2[cols]):
+                np.add(kxy, kz2, out=tri[:, j])
+            coulomb_kernel_spectrum(np.sqrt(tri, out=tri), np.sqrt(3.0), out=tri)
+            slab[ix, iy] = tri
+            slab[iy, ix] = tri
+            slab[h:] = slab[h - 2 : 0 : -1]
+            slab = sfft.ifft(slab, axis=0, norm="forward", overwrite_x=True, workers=1)
+            # the mirror is copied from slab, not within part, which numpy
+            # would stage through a temporary as the two views overlap
+            part[:lo, :h] = slab[:lo]
+            part[lo:, :h] = slab[hi:]
+            part[:lo, h:] = slab[:lo, h - 2 : 0 : -1]
+            part[lo:, h:] = slab[hi:, h - 2 : 0 : -1]
+            part = sfft.ifft(part, axis=1, norm="forward", overwrite_x=True, workers=1)
+            pruned[:, :lo, cols] = part[:, :lo]
+            pruned[:, lo:, cols] = part[:, hi:]
+
+    if threads == 1:
+        slab_passes(0)
+    else:
+        with ThreadPoolExecutor(threads - 1) as pool:
+            futures = [pool.submit(slab_passes, share) for share in range(1, threads)]
+            slab_passes(0)
+            for future in futures:
+                future.result()
+    del buffers, ix, iy, kxy
+    # The kernel is written over the pruned spectrum's own memory: its row r
+    # ends at byte 8 (2N)^2 (r+1), before pruned row r+1 starts at byte
+    # 16 (2N) (2N+1) (r+1), so a block overwrites only rows already inverted.
+    kernel = pruned.reshape(-1).view(np.float64)[: n2**3].reshape(n2, n2, n2)
+    for r0 in range(0, n2, rows):
+        block = sfft.irfft(pruned[r0 : r0 + rows], n=n4, axis=2, norm="forward", workers=workers)
+        kernel[r0 : r0 + rows, :, :lo] = block[..., :lo]
+        kernel[r0 : r0 + rows, :, lo:] = block[..., hi:]
+        # free this block before the next one is allocated
+        del block
     kernel *= 1.0 / n4**3
-    khat = sfft.rfftn(kernel, workers=workers).real.copy()
+    # rfftn's passes, in its order, so that the spectrum's memory is freed
+    # before the complex passes run in place
+    khat = sfft.rfft(kernel, axis=2, workers=workers)
+    del pruned, kernel
+    khat = sfft.fft(khat, axis=0, overwrite_x=True, workers=workers)
+    khat = sfft.fft(khat, axis=1, overwrite_x=True, workers=workers).real.copy()
     # Tiny negative excursions from windowing the periodized kernel are
     # clipped so the solve stays positive semidefinite mode-wise.
     np.maximum(khat, 0.0, out=khat)

@@ -5,6 +5,7 @@ waves) or brute-force oracles (direct kernel summation).
 """
 
 import os
+import threading
 import tracemalloc
 
 import numpy as np
@@ -18,6 +19,7 @@ from spwaves.grid import (
     Grid3,
     SpectralWorkspace,
     _kernel_build_bytes,
+    _kernel_build_plan,
     _unit_kernel_hat,
     boundary_mass_fraction,
     coulomb_kernel_spectrum,
@@ -323,8 +325,15 @@ class TestKernel:
         assert (after.misses - before.misses, after.hits - before.hits) == (1, 1)
         assert not _unit_kernel_hat(20).flags.writeable
 
-    @pytest.mark.parametrize("n", [24, 32])
-    def test_build_peak_is_within_the_estimate(self, n):
+    @pytest.mark.parametrize(
+        "n, threaded",
+        [(24, False), (32, False), (24, True), (32, True)],
+        ids=["24", "32", "24-threaded", "32-threaded"],
+    )
+    def test_build_peak_is_within_the_estimate(self, n, threaded, monkeypatch):
+        # tracemalloc sees the numpy buffers every thread allocates
+        if threaded:
+            monkeypatch.setattr("spwaves.grid._fft_workers", lambda size: -1)
         tracemalloc.start()
         try:
             _unit_kernel_hat.__wrapped__(n)
@@ -338,8 +347,11 @@ class TestKernel:
         # The mirrors copy one transform's output for another's, and the
         # worker count follows the grid size; both hold only if a 1-D
         # transform's bits do not depend on how the batch is split between
-        # threads.  One worker and all workers are forced at each size.
-        for n in (16, 32):
+        # threads, and the threaded build only if its slabs' bits do not
+        # depend on the thread that transforms them.  One worker and all
+        # workers are forced at each size; at N=10 the 21 k_z columns make
+        # slabs of 8, 8 and 5.
+        for n in (10, 16, 32):
             f = rng.standard_normal((n,) * 3)
             runs = []
             for workers in (1, -1):
@@ -352,6 +364,29 @@ class TestKernel:
                 )
             for one, every in zip(*runs):
                 assert np.array_equal(one, every)
+            assert np.array_equal(runs[1][0], dense_kernel_hat(Grid3(n, 1.0)))
+
+    def test_threaded_build_runs_each_share_on_its_own_thread_and_leaves_none(self, monkeypatch):
+        # N=16 has 33 k_z columns, five slabs: up to five threads, the
+        # calling one among them, and every one of them joined at the end.
+        monkeypatch.setattr("spwaves.grid._fft_workers", lambda size: -1)
+        threads = _kernel_build_plan(16)[0]
+        assert threads == min(os.cpu_count() or 1, 5)
+        idents = set()
+        ifft = sfft.ifft
+
+        def recorded(*args, **kwargs):
+            idents.add(threading.get_ident())
+            return ifft(*args, **kwargs)
+
+        monkeypatch.setattr(sfft, "ifft", recorded)
+        before = threading.active_count()
+        _unit_kernel_hat.__wrapped__(16)
+        assert threading.active_count() == before
+        assert len(idents) == threads and threading.get_ident() in idents
+        # a pool kept from an earlier build would be counted in before too:
+        # no thread that ran a share may still be alive
+        assert not idents & {t.ident for t in threading.enumerate() if t is not threading.current_thread()}
 
     def test_grid_too_large_for_memory_fails_before_allocating(self):
         physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")

@@ -84,6 +84,9 @@ def fresh():
     return [importlib.import_module(f"spwaves.{m}") for m in ("grid", "profiles", "energy", "minimize")]
 
 grid, profiles, _, _ = fresh()
+# a threaded kernel build must not leave a thread holding the module
+grid._fft_workers = lambda n: -1
+grid._unit_kernel_hat(8)
 refs = [weakref.ref(profiles.GaussianProfile), weakref.ref(grid._unit_kernel_hat)]
 del grid, profiles
 for _ in range(4):
