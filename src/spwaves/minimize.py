@@ -8,8 +8,9 @@ certifies upper bounds for the ground-state energy curves
     c(mu)      with the doping profile present,
     c_inf(mu)  for the autonomous problem (rho = 0),
 
-and everything derived from them: the critical mass mu* where c_inf turns
-negative and sub-additivity margins.
+and sub-additivity margins.  The critical mass mu*, where the free-space
+c_inf turns negative, comes from one flow on a dilation-invariant quotient
+(_Quotient), not from c_inf on a box, which is negative at every mass.
 
 The spectral floor, the lowest eigenvalue of the linear operator
 -Delta + 2 e^2 S2, is a linear eigenproblem and comes from a preconditioned
@@ -47,7 +48,6 @@ __all__ = [
     "SubadditivityReport",
     "FloorPoint",
     "NumericalAbort",
-    "BracketError",
     "minimize_at_mass",
     "c_curve",
     "mu_star",
@@ -62,8 +62,9 @@ BACKTRACK_MAX = 40
 # The flow converges once |grad E + omega u|_2 / |u|_{H^1} < GRAD_TOL, and
 # stops after STALL_ITERS iterations without an energy drop of ENERGY_TOL.
 GRAD_TOL, ENERGY_TOL, STALL_ITERS = 1e-7, 1e-9, 100
-# An energy below -EPS_NEG counts as genuinely negative (mu_star).
-EPS_NEG = 10.0 * ENERGY_TOL
+# mu_star's flow holds the mass MU_FLOW (its residual scales like 1/mass) and
+# fixes the dilation by GAUGE_WEIGHT (log(rms radius / r0))^2, r0 = R0_PER_LENGTH L.
+MU_FLOW, GAUGE_WEIGHT, R0_PER_LENGTH = 100.0, 10.0, 3.0 / 32.0
 # Lower bound of the shift sigma = max(FLOOR_SHIFT, -lambda) of the spectral
 # floor's preconditioner (sigma - Delta)^-1, lambda the Rayleigh quotient.
 FLOOR_SHIFT = 0.05
@@ -71,10 +72,6 @@ FLOOR_SHIFT = 0.05
 
 class NumericalAbort(RuntimeError):
     """NaN or overflow encountered inside an iteration."""
-
-
-class BracketError(ValueError):
-    """A bisection bracket whose endpoints do not straddle the predicate."""
 
 
 @dataclass(frozen=True)
@@ -348,56 +345,68 @@ def c_curve(
 @dataclass(frozen=True)
 class MuStarResult:
     value: float
-    bracket_low: float
-    bracket_high: float
-    energy_low: float
-    energy_high: float
-    evaluations: int
+    iterations: int  # accepted flow steps
+    converged: bool
 
 
-def mu_star(
-    params: PhysParams,
-    config: MinimizeConfig,
-    bracket: tuple[float, float],
-    tol: float,
-    ws: SpectralWorkspace,
-) -> MuStarResult:
-    """Bisection for mu* = inf{mu : c_inf(mu) < -EPS_NEG}.
+class _Quotient:
+    """log mu*(u) + GAUGE_WEIGHT l^2, l = log(rms radius / r0), and its L^2
+    gradient in _Objective's protocol, from one Evaluation per point.
 
-    The bracket must satisfy c_inf(low) >= -EPS_NEG and c_inf(high) < -EPS_NEG;
-    otherwise the measured endpoint energies are reported in the error.
-    Bisection stops at width tol, or sooner once the midpoint rounds to an
-    endpoint.
-    """
-    params.warn_outside_regime("mu_star")
-    lo, hi = float(bracket[0]), float(bracket[1])
-    if not (0.0 < lo < hi < np.inf):
-        raise BracketError(f"bracket must satisfy 0 < low < high < inf, got ({lo}, {hi})")
-    if not (tol > 0.0 and np.isfinite(tol)):
-        raise ValueError(f"tol must be positive and finite, got {tol}")
-    zero = ZeroProfile()
-    evals = 0
+    For rho = 0 the dilations b^(3/2) u(b x) keep the mass m and give
+    E = K b^2/2 - P b^q/(p+1) + e^2 A1 b, q = 3(p-1)/2, K = |grad u|^2 and
+    P = |u|_{p+1}^{p+1}; some dilation of t u has E < 0 exactly when
+    t^2 m > mu*(u) = m C^(1/(2(p-2))), C = [e^2 A1/(2-q)]^(2-q) [2(q-1)/K]^(1-q)
+    (p+1)/P.  mu*(u) ignores amplitude and dilation; without the gauge the
+    minimizer collapses onto the grid."""
 
-    def c_inf(m: float) -> float:
-        nonlocal evals
-        evals += 1
-        return minimize_at_mass(m, zero, params, config, ws).c_value
+    def __init__(self, params: PhysParams, ws: SpectralWorkspace):
+        self.p, self.q, self.e2 = params.p, 1.5 * (params.p - 1.0), params.e**2
+        self.ws, self.dv = ws, ws.grid.cell_volume
+        self.r_sq, self.r0 = ws.grid.radius_sq(), R0_PER_LENGTH * ws.grid.length
+        self._last: tuple[Evaluation, float, float, float] | None = None
 
-    e_lo, e_hi = c_inf(lo), c_inf(hi)
-    if not (e_lo >= -EPS_NEG and e_hi < -EPS_NEG):
-        raise BracketError(
-            f"invalid bracket: c_inf({lo}) = {e_lo:.3e}, c_inf({hi}) = {e_hi:.3e}, "
-            f"EPS_NEG = {EPS_NEG:.1e}"
-        )
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if mid in (lo, hi):
-            break
-        if c_inf(mid) < -EPS_NEG:
-            hi = mid
-        else:
-            lo = mid
-    return MuStarResult(0.5 * (lo + hi), lo, hi, e_lo, e_hi, evals)
+    def terms(self, vals: np.ndarray) -> tuple[Evaluation, float, float, float]:
+        """vals's Evaluation, P, int |x|^2 |u|^2 and log mu*(u), reused as in _Objective."""
+        if self._last is None or self._last[0].vals is not vals:
+            ev, p, q = Evaluation(vals, self.ws), self.p, self.q
+            power = float(np.sum(ev.dens ** ((p + 1.0) / 2.0))) * self.dv
+            moment = float(np.sum(self.r_sq * ev.dens)) * self.dv
+            log_c = (2.0 - q) * np.log(self.e2 * ev.a1 / (2.0 - q))
+            log_c += (1.0 - q) * np.log(2.0 * (q - 1.0) / ev.grad_sq) + np.log((p + 1.0) / power)
+            self._last = ev, power, moment, float(np.log(ev.mass) + log_c / (2.0 * (p - 2.0)))
+        return self._last
+
+    def __call__(self, vals: np.ndarray, need_grad: bool):
+        ev, power, moment, log_mu = self.terms(vals)
+        ell = 0.5 * np.log(moment / (ev.mass * self.r0**2))
+        value = log_mu + GAUGE_WEIGHT * ell**2
+        if not np.isfinite(value):
+            raise NumericalAbort("quotient became non-finite")
+        if not need_grad:
+            return value, None, ev.grad_sq
+        p, q = self.p, self.q
+        neg_lap = self.ws.ifft(ev.k2 * ev.uhat)
+        grad = (2.0 - q) * ev.s1 * vals / ev.a1 + 2.0 * (q - 1.0) * neg_lap / ev.grad_sq
+        grad -= (p + 1.0) * ev.dens ** ((p - 1.0) / 2.0) * vals / power
+        grad = 2.0 * vals / ev.mass + grad / (2.0 * (p - 2.0))
+        grad += 2.0 * GAUGE_WEIGHT * ell * (self.r_sq * vals / moment - vals / ev.mass)
+        return value, grad, ev.grad_sq
+
+
+def mu_star(params: PhysParams, config: MinimizeConfig, ws: SpectralWorkspace) -> MuStarResult:
+    """The critical mass mu* = inf mu*(u) (see _Quotient): in free space
+    c_inf = 0 below it and c_inf < 0 above.  One normalized flow on the
+    quotient at mass MU_FLOW, from the Gaussian whose rms radius is r0, gives
+    mu*(u) of its last iterate; converged means that iterate's residual is
+    below GRAD_TOL, the cap included.  p outside (2, 7/3), where the
+    quotient's logarithms are undefined, raises ValueError."""
+    if not params.in_theory_regime:
+        raise ValueError(f"mu_star needs 2 < p < 7/3, got p = {params.p}")
+    objective = _Quotient(params, ws)
+    u0 = _gaussian_trial(ws.grid, objective.r0 * np.sqrt(2.0 / 3.0), MU_FLOW)
+    state = _normalized_flow(MU_FLOW, objective, u0, config)
+    return MuStarResult(float(np.exp(objective.terms(state.vals)[3])), state.iterations, state.grad_res < GRAD_TOL)
 
 
 @dataclass(frozen=True)

@@ -1,13 +1,15 @@
 """Oracles shared between unit and acceptance tests: a brute-force Coulomb
-sum, the continuum surface form of A3 for ball indicators, and the radial
-free-space floor of -Delta + V.
+sum, the continuum surface form of A3 for ball indicators, the radial
+free-space floor of -Delta + V, and the radial free-space critical mass mu*.
 
 These deliberately avoid the FFT code paths they are used to check.
 """
 
 import numpy as np
+from scipy.fft import dst
 from scipy.integrate import cumulative_trapezoid
 from scipy.linalg import eigh_tridiagonal
+from scipy.optimize import minimize
 
 
 def direct_coulomb_sum(grid, f):
@@ -131,3 +133,57 @@ def shell_s2(rho, r):
     inner = cumulative_trapezoid(rho(s) * s**2, s, initial=0.0)[1:]
     outer = cumulative_trapezoid(rho(s) * s, s, initial=0.0)
     return -0.5 * (inner / r + outer[-1] - outer[1:])
+
+
+def radial_mu_star(p, e, R, M, r0):
+    """mu* = inf mu*(u) for rho = 0 (the quotient of minimize._Quotient) over
+    radial u on the ball of radius R, with no FFT box: v = r u on the M - 1
+    interior nodes of M equal intervals, v(0) = v(R) = 0.
+
+    The kinetic term is that of v's sine series, by DST-I with
+    kappa_k = k pi / R.  A1 = 1/8 int_0^inf Q^2 / (4 pi r^2) dr by the shell
+    theorem, with the charge Q(r) = 4 pi int_0^r v^2 by the trapezoid rule,
+    Q = Q(R) beyond R, and the outer integral by the trapezoid rule too.
+    L-BFGS-B minimizes log mu*(u) + 10 (log(rms radius / r0))^2, the
+    quotient with its gauge, in y, with v = DST(y / sqrt(1 + kappa^2)), from
+    the Gaussian whose rms radius is r0."""
+    h = R / M
+    r = h * np.arange(1, M)
+    kappa = np.pi * np.arange(1, M) / R
+    precond = 1.0 / np.sqrt(1.0 + kappa**2)
+    q, c, w = 1.5 * (p - 1.0), 0.5 / (p - 2.0), 4.0 * np.pi * h
+    # trapezoid weights of 1/8 int Q^2 / (4 pi r^2) at r_1 .. r_M, with the tail beyond R
+    weights = np.append(np.full(M - 1, h) / r**2, 0.5 * h / R**2 + 1.0 / R) / (32.0 * np.pi)
+
+    def quotient(v):
+        """(log mu*(u), the value with its gauge, the value's gradient in v)."""
+        g = v * v
+        charge = w * np.append(np.cumsum(g) - 0.5 * g, np.sum(g))
+        a1 = float(weights @ charge**2)
+        dcharge = 2.0 * weights * charge
+        # the trapezoid sum's transpose: dA1/dg_i = w (sum_{j >= i} dcharge_j - dcharge_i / 2)
+        da1 = 2.0 * w * (np.cumsum(dcharge[::-1])[::-1][:-1] - 0.5 * dcharge[:-1]) * v
+        a = dst(v, type=1, norm="ortho")
+        mass, kin = w * float(np.sum(g)), w * float(kappa**2 @ a**2)
+        power = w * float(r ** (1.0 - p) @ np.abs(v) ** (p + 1.0))
+        moment = w * float(r**2 @ g)
+        log_c = (2.0 - q) * np.log(e**2 * a1 / (2.0 - q)) + (1.0 - q) * np.log(2.0 * (q - 1.0) / kin)
+        log_mu = np.log(mass) + c * (log_c + np.log((p + 1.0) / power))
+        ell = 0.5 * np.log(moment / (mass * r0**2))
+        grad = c * (
+            (2.0 - q) * da1 / a1
+            + (q - 1.0) * 2.0 * w * dst(kappa**2 * a, type=1, norm="ortho") / kin
+            - (p + 1.0) * w * r ** (1.0 - p) * np.abs(v) ** (p - 1.0) * v / power
+        )
+        grad += 2.0 * w * v / mass + 20.0 * ell * w * (r**2 / moment - 1.0 / mass) * v
+        return log_mu, log_mu + 10.0 * ell**2, grad
+
+    def objective(y):
+        _, value, grad = quotient(dst(precond * y, type=1, norm="ortho"))
+        return value, precond * dst(grad, type=1, norm="ortho")
+
+    v0 = r * np.exp(-0.75 * r**2 / r0**2)  # exp(-r^2 / (2 width^2)), width = r0 sqrt(2/3)
+    v0 *= np.sqrt(100.0 / (w * float(v0 @ v0)))  # mass 100, as in mu_star's flow
+    options = {"maxiter": 5000, "ftol": 1e-15, "gtol": 1e-12}
+    y = minimize(objective, dst(v0, type=1, norm="ortho") / precond, jac=True, method="L-BFGS-B", options=options).x
+    return float(np.exp(quotient(dst(precond * y, type=1, norm="ortho"))[0]))

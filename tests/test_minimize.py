@@ -1,9 +1,9 @@
 """Minimize module: the flow objective, the cold and warm starts, evaluation
-reuse in the flow, the flow's exits, input checks, the sweeps' and the mu*
-bisection's bookkeeping around minimize_at_mass, the spectral floor against
-a dense eigensolver, the radial free-space floor, the small-mass slope of
-c(mu) against the operator E linearizes to, and c under the dilation that
-moves e."""
+reuse in the flow, the flow's exits, input checks, the sweeps' bookkeeping
+around minimize_at_mass, mu* against the radial free-space quotient and its
+exact invariances, the spectral floor against a dense eigensolver, the
+radial free-space floor, the small-mass slope of c(mu) against the operator
+E linearizes to, and c under the dilation that moves e."""
 
 import hashlib
 import warnings
@@ -19,7 +19,6 @@ from spwaves import minimize
 from spwaves.energy import PhysParams, energy_breakdown, grad_E, profile_fields
 from spwaves.grid import ComplexField, Grid3, GridMismatchError, SpectralWorkspace
 from spwaves.minimize import (
-    BracketError,
     HomogeneityPoint,
     MinimizeConfig,
     NumericalAbort,
@@ -29,6 +28,7 @@ from spwaves.minimize import (
     _gaussian_trial,
     _normalized_flow,
     _Objective,
+    _Quotient,
     c_curve,
     minimize_at_mass,
     mu_star,
@@ -38,7 +38,7 @@ from spwaves.minimize import (
 from spwaves.profiles import BallSpec, BallsProfile, GaussianProfile, ZeroProfile
 
 from conftest import smooth_random_complex
-from oracles import radial_floor, shell_s2
+from oracles import radial_floor, radial_mu_star, shell_s2
 
 
 def test_objective_matches_breakdown_and_gradient(grid32, ws32, rng):
@@ -497,70 +497,69 @@ def test_subadditivity_scan_minimizes_each_mass_once(grid24, monkeypatch):
     assert report == SubadditivityReport(mu, c_of(mu, prof), (split,), homogeneity)
 
 
-def _fake_c_inf(monkeypatch, threshold):
-    """Replaces minimize_at_mass by c_inf(mu) = threshold - mu and records
-    the (mass, profile, config, workspace) of every call."""
-    calls = []
-
-    def fake_minimize(mu, profile, params, cfg, ws):
-        calls.append((mu, profile, cfg, ws))
-        if len(calls) > 200:
-            raise AssertionError("mu_star is still bisecting after 200 minimizations")
-        return SimpleNamespace(c_value=threshold - mu)
-
-    monkeypatch.setattr(minimize, "minimize_at_mass", fake_minimize)
-    return calls
+MU_STAR_CASES = [(2.2, 0.5), (2.1, 0.3)]
 
 
-@pytest.mark.parametrize("bracket", [(0.0, 1.0), (-1.0, 1.0), (2.0, 1.0), (1.0, 1.0), (1.0, float("inf"))])
-def test_mu_star_rejects_a_disordered_bracket_before_minimizing(bracket, ws24, monkeypatch):
-    calls = _fake_c_inf(monkeypatch, 5.0)
-    with pytest.raises(BracketError, match="0 < low < high"):
-        mu_star(PhysParams(2.1, 0.3), MinimizeConfig(), bracket, 0.1, ws24)
-    assert calls == []
+@pytest.mark.parametrize("p, e", MU_STAR_CASES)
+def test_radial_mu_star_holds_still_in_the_radius_and_the_mesh(p, e):
+    values = [radial_mu_star(p, e, R, M, 1.5) for R, M in ((100.0, 2000), (100.0, 4000), (100.0, 8000), (200.0, 16000))]
+    assert max(values) / min(values) - 1.0 <= 2e-5
 
 
-@pytest.mark.parametrize("bracket", [(1.0, 4.0), (6.0, 9.0)])
-def test_mu_star_reports_both_energies_of_a_non_straddling_bracket(bracket, ws24, monkeypatch):
-    calls = _fake_c_inf(monkeypatch, 5.0)
-    with pytest.raises(BracketError) as err:
-        mu_star(PhysParams(2.1, 0.3), MinimizeConfig(), bracket, 0.1, ws24)
-    lo, hi = bracket
-    assert f"c_inf({lo}) = {5.0 - lo:.3e}" in str(err.value)
-    assert f"c_inf({hi}) = {5.0 - hi:.3e}" in str(err.value)
-    assert [c[0] for c in calls] == [lo, hi]
+@pytest.mark.parametrize("p, e", MU_STAR_CASES)
+def test_mu_star_matches_the_radial_free_space_value(p, e, ws32):
+    # on the same box c_inf < 0 at every mass, so a bisection on its sign
+    # gave 4.7e-4 and 2.7e-4 here
+    res = mu_star(PhysParams(p, e), MinimizeConfig(), ws32)
+    assert res.converged and res.iterations <= 200
+    oracle = radial_mu_star(p, e, 100.0, 8000, minimize.R0_PER_LENGTH * ws32.grid.length)
+    assert abs(res.value / oracle - 1.0) <= 1e-4
 
 
-def test_mu_star_bisects_to_the_threshold(ws24, monkeypatch):
-    calls = _fake_c_inf(monkeypatch, 3.7)
-    config, tol = MinimizeConfig(), 1.0 / 64.0
-    res = mu_star(PhysParams(2.1, 0.3), config, (1.0, 9.0), tol, ws24)
-    # c_inf(mu) < -EPS_NEG exactly when mu > 3.7 + EPS_NEG
-    assert abs(res.value - (3.7 + minimize.EPS_NEG)) <= tol
-    assert res.bracket_low <= 3.7 + minimize.EPS_NEG < res.bracket_high
-    assert res.bracket_high - res.bracket_low <= tol
-    assert (res.energy_low, res.energy_high) == (3.7 - 1.0, 3.7 - 9.0)
-    # the width 8 halves 9 times to 1/64
-    assert res.evaluations == len(calls) == 2 + 9
-    assert all(isinstance(prof, ZeroProfile) and cfg is config and ws is ws24 for _, prof, cfg, ws in calls)
+@pytest.fixture(scope="module")
+def ws16():
+    return SpectralWorkspace(Grid3(16, 8.0))
 
 
-@pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
-def test_mu_star_rejects_a_tol_that_is_not_positive_and_finite(tol, ws24, monkeypatch):
-    calls = _fake_c_inf(monkeypatch, 3.7)
-    with pytest.raises(ValueError, match="tol must be positive and finite"):
-        mu_star(PhysParams(2.1, 0.3), MinimizeConfig(), (1.0, 9.0), tol, ws24)
-    assert calls == []
+def test_mu_star_moves_with_e_by_its_exact_factor(ws16):
+    # e enters the quotient as the constant e^((7 - 3p)/(2(p - 2))) and not
+    # its gradient, so both flows take the same steps
+    low, high = (mu_star(PhysParams(2.1, e), MinimizeConfig(), ws16) for e in (0.3, 0.6))
+    assert abs(high.value / low.value / 2.0**3.5 - 1.0) <= 1e-12
+    assert high.iterations == low.iterations
 
 
-def test_mu_star_stops_at_the_float_spacing(ws24, monkeypatch):
-    calls = _fake_c_inf(monkeypatch, 3.7)
-    config = MinimizeConfig()
-    res = mu_star(PhysParams(2.1, 0.3), config, (1.0, 9.0), 1e-20, ws24)
-    assert res.evaluations == len(calls) <= 2 + 60
-    # the bracket ends as two adjacent floats around the threshold
-    assert res.bracket_high == np.nextafter(res.bracket_low, np.inf)
-    assert res.bracket_low <= 3.7 + minimize.EPS_NEG < res.bracket_high
+def test_quotient_ignores_amplitude(ws16, rng):
+    quotient = _Quotient(PhysParams(2.1, 0.3), ws16)
+    vals = smooth_random_complex(ws16.grid, rng)
+    assert abs(quotient.terms(3.7 * vals)[3] - quotient.terms(vals)[3]) <= 1e-13
+
+
+def test_quotient_gradient_matches_a_central_difference(ws16, rng):
+    quotient, dv = _Quotient(PhysParams(2.1, 0.3), ws16), ws16.grid.cell_volume
+    vals, step = smooth_random_complex(ws16.grid, rng), smooth_random_complex(ws16.grid, rng)
+    vals *= np.sqrt(100.0 / (np.sum(np.abs(vals) ** 2) * dv))
+    grad = quotient(vals, need_grad=True)[1]
+    slope = float(np.sum(grad.real * step.real + grad.imag * step.imag)) * dv
+    h = 1e-5
+    central = (quotient(vals + h * step, need_grad=False)[0] - quotient(vals - h * step, need_grad=False)[0]) / (2.0 * h)
+    assert abs(central - slope) <= 1e-5 * abs(slope)
+
+
+def test_quotient_flow_reuses_the_accepted_trial():
+    # a workspace of its own, so the counting wrapper touches no fixture
+    ws = SpectralWorkspace(Grid3(16, 8.0))
+    quotient, solves = _Calls(_Quotient(PhysParams(2.1, 0.3), ws)), _count_solves(ws)
+    u0 = _gaussian_trial(ws.grid, 1.0, minimize.MU_FLOW)
+    state = _normalized_flow(minimize.MU_FLOW, quotient, u0, MinimizeConfig(max_iters=40))
+    assert state.iterations == 40
+    assert solves[0] == 1 + quotient.trials
+
+
+@pytest.mark.parametrize("p", [2.0, 7.0 / 3.0, 2.5])
+def test_mu_star_rejects_p_outside_the_quotients_range(p, ws16):
+    with pytest.raises(ValueError, match="2 < p < 7/3"):
+        mu_star(PhysParams(p, 0.3), MinimizeConfig(), ws16)
 
 
 def _dense_floor(grid, potential):
